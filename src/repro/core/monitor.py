@@ -617,29 +617,35 @@ class Monitor:
                             "_ob_insert_lru",
                             CodePath.INSERT_LRU_CACHE_NODE,
                         ))(sample)
-                        try:
-                            page = yield handle.event
-                        except KeyNotFoundError as exc:
-                            if self._check_on:
-                                self.check.pages.on_read_failed(key)
-                            raise FluidMemError(
-                                f"remote memory lost page {addr:#x} "
-                                f"(key {key:#x}) on backend "
-                                f"{registration.store.name!r} — an "
-                                "evicting store (e.g. undersized "
-                                "Memcached) cannot back FluidMem"
-                            ) from exc
-                        except TransientStoreError as exc:
-                            self.counters.incr("async_read_failures")
+                        event = handle.event
+                        if env.take_next(event):
+                            # A process-free completion that is the next
+                            # event: fire it here instead of parking.
+                            page = event._value
+                        else:
                             try:
-                                page = yield from self._fetch_with_retry(
-                                    registration, key, prior_attempts=1,
-                                    initial_error=exc,
-                                )
-                            except Exception:
+                                page = yield event
+                            except KeyNotFoundError as exc:
                                 if self._check_on:
                                     self.check.pages.on_read_failed(key)
-                                raise
+                                raise FluidMemError(
+                                    f"remote memory lost page {addr:#x} "
+                                    f"(key {key:#x}) on backend "
+                                    f"{registration.store.name!r} — an "
+                                    "evicting store (e.g. undersized "
+                                    "Memcached) cannot back FluidMem"
+                                ) from exc
+                            except TransientStoreError as exc:
+                                self.counters.incr("async_read_failures")
+                                try:
+                                    page = yield from self._fetch_with_retry(
+                                        registration, key, prior_attempts=1,
+                                        initial_error=exc,
+                                    )
+                                except Exception:
+                                    if self._check_on:
+                                        self.check.pages.on_read_failed(key)
+                                    raise
                         (self._ob_read or self._mk_observer(
                             "_ob_read", CodePath.READ_PAGE,
                         ))(env._now - issued_at)

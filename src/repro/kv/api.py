@@ -134,6 +134,24 @@ class KeyValueBackend(abc.ABC):
         self.env.process(self._drive_write(handle, list(items)))
         return handle
 
+    def _complete_read_at(
+        self, key: int, when: float, value: Any
+    ) -> ReadHandle:
+        """A read of ``key`` settled as ONE scheduled completion: its
+        event fires at the absolute time ``when`` with ``value``, first
+        counting the read — the driver process's tail at that instant,
+        minus the process (DESIGN.md §17)."""
+        handle = ReadHandle(self.env, key)
+        event = handle.event
+        event._ok = True
+        event._value = value
+        event.callbacks.append(self._count_read)
+        self.env._schedule_at(event, when)
+        return handle
+
+    def _count_read(self, _event: Event) -> None:
+        self.counters.incr("reads")
+
     def _drive_read(self, handle: ReadHandle) -> Generator:
         try:
             value = yield from self.get(handle.key)

@@ -17,13 +17,13 @@ average vs 24.87 for RAMCloud).  Functionally we model what matters:
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Dict, Generator, Tuple
+from typing import Any, Dict, Generator, Optional, Tuple
 
 from ..errors import KeyNotFoundError, KVError
 from ..mem import PAGE_SIZE
 from ..net import Fabric
 from ..sim import Environment
-from .api import KeyValueBackend
+from .api import KeyValueBackend, ReadHandle
 
 __all__ = ["MemcachedServer", "MemcachedStore", "SLAB_BYTES"]
 
@@ -110,6 +110,13 @@ class MemcachedServer:
         del self._index[victim_key]
         self.evictions += 1
 
+    def peek(self, key: int) -> Optional[Tuple[Any, int]]:
+        """``(value, nbytes)`` without an LRU touch; None when absent."""
+        chunk = self._index.get(key)
+        if chunk is None:
+            return None
+        return self._classes[chunk].items[key]
+
     def get(self, key: int) -> Tuple[Any, int]:
         chunk = self._index.get(key)
         if chunk is None:
@@ -180,6 +187,26 @@ class MemcachedStore(KeyValueBackend):
         )
         self.counters.incr("reads")
         return value
+
+    def read_async(self, key: int) -> ReadHandle:
+        """Top half of a read, process-free when provably equivalent
+        (see :meth:`RamCloudStore.read_async`).  The LRU touch the
+        driver's :meth:`get` makes at its ``Initialize`` happens here,
+        only once the inline RPC is committed."""
+        if type(self).get is MemcachedStore.get:
+            item = self.server.peek(key)
+            if item is not None:
+                done = self.fabric.inline_rpc(
+                    self.client_host,
+                    self.server_host,
+                    self.REQUEST_BYTES,
+                    item[1] + self.RESPONSE_OVERHEAD_BYTES,
+                    server_us=self.SERVER_US,
+                )
+                if done is not None:
+                    value, _nbytes = self.server.get(key)
+                    return self._complete_read_at(key, done, value)
+        return super().read_async(key)
 
     def put(self, key: int, value: Any, nbytes: int = PAGE_SIZE) -> Generator:
         yield from self.fabric.rpc(

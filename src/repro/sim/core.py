@@ -599,6 +599,63 @@ class Environment:
             self._heap, (self._now + delay, priority, tiebreak, event)
         )
 
+    def _schedule_at(self, event: Event, when: float) -> None:
+        """Schedule ``event`` at the **absolute** time ``when``.
+
+        The heap key is ``when`` itself, not ``now + (when - now)``, so
+        a process-free completion lands on exactly the timestamp the
+        granular path computed, whatever the float rounding.
+        """
+        if self.scheduler is None:
+            _heappush(
+                self._heap, (when, PRIORITY_NORMAL, next(self._seq), event)
+            )
+        else:
+            self._schedule(event, when - self._now)
+
+    def timeout_at(self, when: float, value: Any = None) -> Event:
+        """An event firing at the absolute time ``when`` (>= now)."""
+        if when < self._now:
+            raise SimulationError(
+                f"timeout_at({when}) is in the past (now={self._now})"
+            )
+        event = Event(self)
+        event._ok = True
+        event._value = value
+        self._schedule_at(event, when)
+        return event
+
+    def take_next(self, event: Event) -> bool:
+        """Fire ``event`` inline iff that is provably equivalent to the
+        calling process yielding it.
+
+        Equivalence requires that ``event`` is already scheduled to
+        succeed and sits at the head of the heap — so it is the very
+        next thing the engine would fire, and the caller would resume
+        from its callbacks with nothing in between — plus the
+        :meth:`try_advance` conditions: fast-path and batch switches on,
+        no schedule-exploration policy, and no ``run(until=<time>)`` cap
+        the jump would overshoot.  On success the event is popped, the
+        clock moves to its time and its callbacks run (the caller, not
+        being attached, continues with ``event.value``).  Returns False,
+        mutating nothing, otherwise.
+        """
+        if not FASTPATH_ON or not BATCH_ON or self.scheduler is not None:
+            return False
+        heap = self._heap
+        if not heap or heap[0][3] is not event or not event._ok:
+            return False
+        when = heap[0][0]
+        cap = self._until_cap
+        if cap is not None and when > cap:
+            return False
+        _heappop(heap)
+        self._now = when
+        callbacks, event.callbacks = event.callbacks, None
+        for callback in callbacks:
+            callback(event)
+        return True
+
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
         if not self._heap:

@@ -80,12 +80,19 @@ class PmbenchResult:
 
     @property
     def average_latency_us(self) -> float:
-        """The number Figure 3 puts in parentheses."""
-        total = (
-            self.read_latency.mean * self.read_latency.count
-            + self.write_latency.mean * self.write_latency.count
-        )
-        return total / (self.read_latency.count + self.write_latency.count)
+        """The number Figure 3 puts in parentheses.
+
+        Weights only non-empty recorders: a run at ``read_ratio`` 0.0 or
+        1.0 leaves one empty, and an empty recorder has no mean.
+        """
+        recorders = [
+            rec for rec in (self.read_latency, self.write_latency)
+            if rec.count
+        ]
+        if not recorders:
+            raise ValueError("no latency samples recorded")
+        total = sum(rec.mean * rec.count for rec in recorders)
+        return total / sum(rec.count for rec in recorders)
 
     def cdf(self) -> Cdf:
         return Cdf(self.all_samples)

@@ -218,6 +218,22 @@ class TestRunScenario:
         assert outcome.kpis["faults"] + outcome.kpis["hits"] == 200
         assert "fluidmem-ramcloud" in outcome.report["groups"]["platform"]
 
+    @pytest.mark.parametrize("read_ratio", [0.0, 1.0])
+    def test_single_direction_single_vm_run_reports_an_average(
+        self, read_ratio
+    ):
+        """A schema-valid all-writes or all-reads run leaves one pmbench
+        recorder empty; the average must weight only the other."""
+        scenario = validate_document({
+            "schema": SCENARIO_SCHEMA, "name": "one-way",
+            "kind": "single-vm",
+            "workload": {"accesses": 400, "quick_accesses": 200,
+                         "read_ratio": read_ratio},
+        })
+        outcome = run_scenario(scenario, quick=True)
+        assert outcome.kpis["accesses"] == 200
+        assert outcome.kpis["avg_latency_us"] > 0.0
+
     def test_cluster_report_has_scaleout_groups(self):
         scenario = validate_document({
             "schema": SCENARIO_SCHEMA, "name": "cl", "kind": "cluster",

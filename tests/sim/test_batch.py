@@ -258,3 +258,77 @@ def test_put_nowait_hand_off_matches_general_dispatch(env):
     store.put_nowait(2)
     env.run()
     assert received == [("first", 1), ("second", 2)]
+
+
+# -- take_next / timeout_at --------------------------------------------------
+
+
+def test_timeout_at_lands_on_the_exact_absolute_time(env):
+    env.sync_to(0.1)
+    when = 0.1 + 0.2
+    fired = []
+    env.timeout_at(when).callbacks.append(lambda _e: fired.append(env.now))
+    env.run()
+    assert fired == [when]
+
+
+def test_timeout_at_rejects_the_past(env):
+    env.sync_to(2.0)
+    with pytest.raises(Exception, match="in the past"):
+        env.timeout_at(1.0)
+
+
+def test_take_next_fires_the_head_event_inline(env):
+    seen = []
+    event = env.timeout_at(3.5, "v")
+    event.callbacks.append(lambda e: seen.append((env.now, e.value)))
+    later = env.timeout(10.0)
+    assert env.take_next(event)
+    assert env.now == 3.5
+    assert seen == [(3.5, "v")]
+    assert event.processed and event.value == "v"
+    assert env._heap[0][3] is later
+
+
+def test_take_next_refuses_when_not_the_head(env):
+    env.timeout(1.0)
+    event = env.timeout_at(3.5, "v")
+    assert not env.take_next(event)
+    assert env.now == 0.0 and not event.processed
+
+
+def test_take_next_refuses_an_unscheduled_event(env):
+    assert not env.take_next(env.event())
+
+
+def test_take_next_refuses_when_batch_off(env, no_batch):
+    event = env.timeout_at(1.0)
+    assert not env.take_next(event)
+    assert not event.processed
+
+
+def test_take_next_refuses_when_fastpath_off(env, no_fastpath):
+    event = env.timeout_at(1.0)
+    assert not env.take_next(event)
+    assert not event.processed
+
+
+@pytest.mark.parametrize("name", sorted(SCHEDULES))
+def test_take_next_refuses_under_every_schedule_policy(env, name):
+    event = env.timeout_at(1.0)
+    env.scheduler = SCHEDULES[name](seed=0)
+    assert not env.take_next(event)
+    assert not event.processed
+
+
+def test_take_next_refuses_past_an_until_cap(env):
+    outcome = []
+
+    def prober():
+        event = env.timeout_at(50.0)
+        outcome.append(env.take_next(event))
+        yield env.timeout(1.0)
+
+    env.process(prober())
+    env.run(until=10.0)
+    assert outcome == [False]

@@ -34,6 +34,19 @@ def test_pmbench_result_average_weighted():
     assert result.average_latency_us == pytest.approx((33.0 + 4.0) / 4)
 
 
+def test_pmbench_result_average_skips_an_empty_recorder():
+    reads = LatencyRecorder("r")
+    reads.extend([1.0, 2.0, 30.0])
+    result = PmbenchResult(reads, LatencyRecorder("w"), warmup_time_us=0.0,
+                           measured_time_us=33.0, hits=3, faults=0)
+    assert result.average_latency_us == 11.0
+    assert "avg=11.00us" in repr(result)
+    empty = PmbenchResult(LatencyRecorder("r"), LatencyRecorder("w"),
+                          0.0, 0.0, 0, 0)
+    with pytest.raises(ValueError, match="no latency samples"):
+        empty.average_latency_us
+
+
 def test_pmbench_result_cdf_and_hits():
     result = make_pmbench_result()
     assert result.hit_fraction == 0.5
