@@ -2,9 +2,9 @@
 
 :class:`RecordingStore` wraps any :class:`~repro.kv.KeyValueBackend`
 at the *client* boundary (the monitor's — or a KV workload's — view),
-records every operation's interval on the simulated clock, and checks
-two properties the surveys call out as the hard part of remote-memory
-consistency:
+records every operation's interval on the simulated clock (a write's
+from its invocation to its ack), and checks two properties the surveys
+call out as the hard part of remote-memory consistency:
 
 * **read-your-writes** — a read that *starts after* a write to the
   same key was acknowledged must observe that write (or a newer one);
@@ -37,38 +37,55 @@ __all__ = ["KvHistory", "RecordingStore"]
 #: Sentinel value recorded when a key is removed.
 _TOMBSTONE = object()
 
-#: Acked writes retained per key (older ones can no longer be the
-#: floor of any live read, because reads are bounded in duration).
+#: Writes retained per key (older ones can no longer be the floor of
+#: any live read, because reads are bounded in duration).
 _RETAIN_WRITES = 16
 
 
 class _Write:
-    __slots__ = ("value", "ack_us", "version")
+    __slots__ = ("value", "invoked_us", "ack_us")
 
-    def __init__(self, value: Any, ack_us: float, version: int) -> None:
+    def __init__(self, value: Any, invoked_us: float) -> None:
         self.value = value
-        self.ack_us = ack_us
-        self.version = version
+        self.invoked_us = invoked_us
+        #: None while the write is in flight (or failed indeterminately).
+        self.ack_us: Optional[float] = None
 
 
 class KvHistory:
-    """Acked-write timelines for every key seen through one wrapper."""
+    """Write timelines (invoked, acked) for every key seen through one
+    wrapper."""
 
     def __init__(self, checker: CorrectnessChecker) -> None:
         self._checker = checker
         self._writes: Dict[int, List[_Write]] = {}
-        self._next_version = 0
         self.reads_checked = 0
         self.writes_recorded = 0
 
-    def record_ack(self, key: int, value: Any, now: float) -> None:
-        """A write (or remove, with the tombstone) became durable."""
-        self._next_version += 1
+    def _append(self, key: int, write: _Write) -> None:
         timeline = self._writes.setdefault(key, [])
-        timeline.append(_Write(value, now, self._next_version))
+        timeline.append(write)
         if len(timeline) > _RETAIN_WRITES:
             del timeline[0]
+
+    def record_invoke(self, key: int, value: Any, now: float) -> None:
+        """A write (or remove, with the tombstone) was issued."""
+        self._append(key, _Write(value, now))
+
+    def record_ack(self, key: int, value: Any, now: float) -> None:
+        """A write (or remove, with the tombstone) became durable.
+
+        Acks the newest in-flight write of ``value``; a write that was
+        never recorded at invocation counts as invoked at its ack.
+        """
         self.writes_recorded += 1
+        for write in reversed(self._writes.get(key, ())):
+            if write.value is value and write.ack_us is None:
+                write.ack_us = now
+                return
+        write = _Write(value, now)
+        write.ack_us = now
+        self._append(key, write)
 
     def check_read(
         self, key: int, value: Any, started_us: float, now: float
@@ -78,23 +95,25 @@ class KvHistory:
         if not timeline:
             return  # key never written through this wrapper
         self.reads_checked += 1
-        # The floor: newest write acked before the read began.  Writes
-        # acked during the read window are also legal outcomes.
-        floor_index = -1
-        for index, write in enumerate(timeline):
-            if write.ack_us <= started_us:
-                floor_index = index
-        if floor_index < 0:
-            # Every retained write overlaps or postdates the read;
-            # any of their values is legal, as is the (unretained)
-            # older state.
-            legal = timeline
-        else:
-            legal = timeline[floor_index:]
-        for write in legal:
-            if write.value is value:
+        # The floor: newest write acked before the read began.  Any
+        # write invoked by the read's end and not acked before it
+        # began overlaps the read, so its value is legal as well.
+        floor = None
+        for write in timeline:
+            ack = write.ack_us
+            if ack is not None and ack <= started_us and (
+                floor is None or ack >= floor.ack_us
+            ):
+                floor = write
+        for write in timeline:
+            if write.value is value and (
+                write is floor
+                or (
+                    (write.ack_us is None or write.ack_us > started_us)
+                    and write.invoked_us <= now
+                )
+            ):
                 return
-        floor = timeline[floor_index] if floor_index >= 0 else None
         if floor is not None and floor.value is _TOMBSTONE:
             self._checker.violation(
                 "kv-history",
@@ -105,7 +124,9 @@ class KvHistory:
                 read_finished=now,
             )
         stale = any(
-            write.value is value for write in timeline[:max(floor_index, 0)]
+            write.value is value and write.ack_us is not None
+            and write.ack_us <= started_us
+            for write in timeline
         )
         self._checker.violation(
             "kv-history",
@@ -161,17 +182,25 @@ class RecordingStore(KeyValueBackend):
         return values
 
     def put(self, key: int, value: Any, nbytes: int = PAGE_SIZE) -> Generator:
+        if self.check.enabled:
+            self.history.record_invoke(key, value, self.env.now)
         yield from self.inner.put(key, value, nbytes)
         if self.check.enabled:
             self.history.record_ack(key, value, self.env.now)
 
     def multi_write(self, items: List[WriteItem]) -> Generator:
-        yield from self.inner.multi_write(list(items))
+        items = list(items)
+        if self.check.enabled:
+            for key, value, _nbytes in items:
+                self.history.record_invoke(key, value, self.env.now)
+        yield from self.inner.multi_write(items)
         if self.check.enabled:
             for key, value, _nbytes in items:
                 self.history.record_ack(key, value, self.env.now)
 
     def remove(self, key: int) -> Generator:
+        if self.check.enabled:
+            self.history.record_invoke(key, _TOMBSTONE, self.env.now)
         yield from self.inner.remove(key)
         if self.check.enabled:
             self.history.record_ack(key, _TOMBSTONE, self.env.now)

@@ -4,7 +4,9 @@ The monitor is the user-space page fault handler: it sleeps on the
 userfaultfd event queue, resolves each fault, and manages the global
 LRU buffer that bounds how many pages all registered VMs keep in local
 DRAM.  This module is the heart of the reproduction — every arrow in
-the paper's Figure 2 corresponds to a step in :meth:`Monitor._handle_fault`:
+the paper's Figure 2 corresponds to a step in
+:meth:`Monitor._service_fault`, the one routine that serves every
+fault:
 
 1. guest halts on a missing page          (vCPU blocks on the fault event)
 2. kernel fault handler                   (:class:`~repro.kernel.Userfaultfd`)
@@ -32,7 +34,6 @@ from ..errors import (
     MonitorStateError,
     StoreUnavailableError,
     TransientStoreError,
-    UffdError,
 )
 from ..faults.retry import retry_call
 from ..kernel import UffdFault, UffdOps, UffdRegion, Userfaultfd
@@ -42,7 +43,6 @@ from ..obs import NULL_OBS, Observability
 from ..policy.prefetch import resolve_prefetcher
 from ..policy.registry import make_alloc_policy, validate_policy_names
 from ..sim import Environment, LatencyRecorder, Resource
-from ..sim import core as _simcore
 from ..vm import QemuProcess
 from .config import FluidMemConfig
 from .lru_buffer import LruBuffer
@@ -156,17 +156,9 @@ class Monitor:
         self.fault_latency = LatencyRecorder(
             f"{name}.fault", max_samples=500_000
         )
-        #: Which handler resolved each in-flight fault (obs label);
-        #: keyed by the fault so concurrent handlers never clobber
-        #: each other's classification.  The flat burst path
-        #: (:meth:`_service_fault_fast`) classifies with a local
-        #: variable instead — no per-fault dict churn.
-        self._fault_paths: Dict[UffdFault, str] = {}
         # Lazily cached bound observers + epilogue histograms for the
-        # flat burst path.  Each is created at its first actual record,
-        # matching the granular path's registry-creation points exactly
-        # (eager creation would change the --metrics instrument set and
-        # break the batch-equivalence pins, DESIGN.md §17).
+        # fault path.  Each is created at its first actual record
+        # (eager creation would change the --metrics instrument set).
         self._ob_dispatch = None
         self._ob_lookup = None
         self._ob_insert_hash = None
@@ -177,7 +169,6 @@ class Monitor:
         self._ob_read = None
         self._ob_update = None
         self._ob_remap = None
-        self._ob_write = None
         self._h_fault_latency = None
         self._h_evict_latency = None
         self._h_path_latency: Dict[str, object] = {}
@@ -266,19 +257,11 @@ class Monitor:
         # traffic; each fault is still serviced one at a time, in the
         # exact order the granular rendezvous would have produced.
         events = self.uffd.events
-        env = self.env
         while self._running:
             fault = events.try_get_batch() if events.items else None
             if fault is None:
                 fault = yield events.get()
-            if (
-                _simcore.FASTPATH_ON
-                and _simcore.BATCH_ON
-                and env.scheduler is None
-            ):
-                yield from self._service_fault_fast(fault)
-            else:
-                yield from self._service_fault(fault)
+            yield from self._service_fault(fault)
 
     def _run_concurrent(self) -> Generator:
         """Lightweight-threaded handlers (arXiv 2107.13848): the
@@ -303,83 +286,29 @@ class Monitor:
         finally:
             self._handler_slots.release(token)
 
-    def _service_fault(self, fault: UffdFault) -> Generator:
-        start = self.env.now
-        try:
-            yield from self._handle_fault(fault)
-        except StoreUnavailableError as exc:
-            # Graceful degradation: the faulting vCPU gets the
-            # error (fail fast, no hang) while the monitor keeps
-            # serving the other VMs' faults.
-            self._fault_paths.pop(fault, None)
-            self.counters.incr("faults_failed_unavailable")
-            if self._obs_on:
-                self.obs.tracer.instant(
-                    "fault_failed", self.env.now, cat="fault",
-                    track=self.name, addr=f"{fault.addr:#x}",
-                    error=type(exc).__name__,
-                )
-            if fault.resolved.callbacks is not None:
-                fault.resolved._defused = True  # may have no waiter
-                fault.resolved.fail(exc)
-            return
-        except BaseException:
-            # A handler raising mid-flight (KeyNotFound escalation,
-            # invariant violation, interrupt) must not leak the
-            # fault's path-label entry.
-            self._fault_paths.pop(fault, None)
-            raise
-        latency = self.env.now - start
-        self.fault_latency.record(latency)
-        path = self._fault_paths.pop(fault, None)
-        if self._obs_on:
-            path = path or "unclassified"
-            registry = self.obs.registry
-            registry.histogram(
-                "fault_latency_us", vm=self.name
-            ).observe(latency)
-            registry.histogram(
-                "path_latency_us", path=path, vm=self.name
-            ).observe(latency)
-            self.obs.tracer.complete(
-                "fault", start, latency, cat="fault",
-                track=self.name, path=path, addr=f"{fault.addr:#x}",
-            )
-        self.writeback.check_stale()
-
     def _mk_observer(self, attr: str, path: CodePath):
         """Create + cache the bound observer for one code path."""
         observe = self.profiler.observer(path)
         setattr(self, attr, observe)
         return observe
 
-    def _service_fault_fast(self, fault: UffdFault) -> Generator:
-        """Flat burst-resolution fault service (DESIGN.md §17).
+    def _service_fault(self, fault: UffdFault) -> Generator:
+        """Resolve one fault: every step of Figure 2, in one body.
 
-        A byte-equivalent inlining of :meth:`_service_fault` →
-        :meth:`_handle_fault` → the spurious / zero-fill / async-read
-        resolution paths: the same RNG draws in the same order from the
-        same streams, the same heap interactions, the same counter,
-        check, and metrics effects.  What changes is interpreter
-        overhead — no nested generator chain, cached bound observers,
-        no per-fault path-label dict churn — and, while the batch
-        window is open (empty heap, no run-until cap: nothing can
-        interleave), the pre-wake critical path settles as ONE clock
-        commit built by in-order accumulation instead of per-charge
-        advances.  Rare branches fall back to the granular helpers
-        before any divergence has happened.
-
-        Only dispatched with the fast-path and batch switches on and
-        no schedule policy installed (:meth:`_run` re-checks per
-        fault); with either switch off the granular
-        :meth:`_service_fault` runs instead, and the two must produce
-        byte-identical seeded results — the batch-equivalence rule the
-        determinism pins enforce.
+        Dispatch, then a spurious wake, a zero fill or a remote read,
+        the wake, and the eviction that restores the DRAM budget.  It
+        is the only fault-service routine: one handler or many, either
+        engine switch, any schedule policy.  Each handler-time charge
+        is settled by :meth:`~repro.sim.Environment.try_advance` when
+        that is provably equivalent to a timeout, and yields the
+        timeout otherwise, so a schedule policy sees every scheduling
+        decision (DESIGN.md §17).  Rare branches (the no-tracker store
+        probe, a write-list steal, the synchronous read) run in helpers
+        that return the fault's path label.
         """
         env = self.env
         ops = self.ops
         start = env._now
-        path = None
         try:
             registration = self._by_handle.get(fault.region)
             if registration is None or not registration.active:
@@ -387,213 +316,123 @@ class Monitor:
                     f"fault {fault!r} for an unregistered region"
                 )
             if registration.quarantined:
+                # Fail fast: the backend was declared dead; do not hang
+                # the vCPU on a store that will never answer.
                 raise StoreUnavailableError(
                     f"VM pid={registration.qemu.pid} is quarantined: "
                     f"backend {registration.store.name!r} declared dead"
                 )
             self.counters.incr("faults")
-            lat = self.config.latency
+            config = self.config
+            lat = config.latency
             gauss = self._rng.gauss
-            uffd_lat = ops.latency
             addr = fault.addr
-            # Cohort window: with an empty heap and no run-until cap,
-            # no event can fire between this fault's charges — they
-            # accumulate on a local clock (in charge order, preserving
-            # the granular float sequence) and commit at wake time.
-            window = not env._heap and env._until_cap is None
-            clock = start
             sample = gauss(lat.dispatch_mean, lat.dispatch_sigma)
             if sample < 0.05:
                 sample = 0.05
-            if window:
-                clock += sample
-            elif not env.try_advance(sample):
+            if not env.try_advance(sample):
                 yield env.timeout(sample)
             (self._ob_dispatch or self._mk_observer(
                 "_ob_dispatch", CodePath.EVENT_DISPATCH))(sample)
             table = registration.table
+            key = registration.key_for(addr)
 
             if addr in table._entries:
-                # Spurious: a prefetch landed while the event sat in
-                # the queue — just wake the vCPU.
+                # A prefetch landed while the event sat in the queue:
+                # spurious — just wake the vCPU.
                 path = "spurious"
                 if self._prefetched_addrs:
                     token = (id(registration), addr)
                     if token in self._prefetched_addrs:
                         self._prefetched_addrs.discard(token)
                         self.counters.incr("prefetch_hits")
-                wake_us = uffd_lat.wake_us
-                if window:
-                    clock += wake_us
-                    if not env.try_advance_batch(clock):
-                        env.sync_to(clock)  # pragma: no cover - defensive
-                    if fault.resolved.triggered:
-                        raise UffdError(f"{fault!r} already woken")
-                    fault.resolved.succeed()
-                    ops.counters.incr("wake")
-                    (self._ob_wake or self._mk_observer(
-                        "_ob_wake", CodePath.WAKE))(wake_us)
-                elif env.try_advance(wake_us):
-                    if fault.resolved.triggered:
-                        raise UffdError(f"{fault!r} already woken")
-                    fault.resolved.succeed()
-                    ops.counters.incr("wake")
-                    (self._ob_wake or self._mk_observer(
-                        "_ob_wake", CodePath.WAKE))(wake_us)
-                else:
-                    yield from self._timed(CodePath.WAKE, ops.wake(fault))
+                yield from self._wake(fault)
                 self.counters.incr("spurious_faults")
+            elif config.zero_page_tracker and \
+                    self.tracker.is_first_access(key):
+                # Figure 2's red path: zero page, wake, then evict
+                # only after the guest is running again (blue path).
+                path = "zero_fill"
+                sample = gauss(
+                    lat.insert_page_hash_mean, lat.insert_page_hash_sigma
+                )
+                if sample < 0.05:
+                    sample = 0.05
+                if not env.try_advance(sample):
+                    yield env.timeout(sample)
+                (self._ob_insert_hash or self._mk_observer(
+                    "_ob_insert_hash", CodePath.INSERT_PAGE_HASH_NODE,
+                ))(sample)
+                self.tracker.mark_seen(key)
+                done, _page, cost = ops.try_zeropage(table, addr)
+                if not done:
+                    yield env.timeout(cost)
+                    ops.finish_zeropage(table, addr)
+                (self._ob_zeropage or self._mk_observer(
+                    "_ob_zeropage", CodePath.UFFD_ZEROPAGE))(cost)
+                sample = gauss(lat.insert_lru_mean, lat.insert_lru_sigma)
+                if sample < 0.05:
+                    sample = 0.05
+                if not env.try_advance(sample):
+                    yield env.timeout(sample)
+                (self._ob_insert_lru or self._mk_observer(
+                    "_ob_insert_lru", CodePath.INSERT_LRU_CACHE_NODE,
+                ))(sample)
+                self.lru.insert(addr, registration)
+                if self._check_on:
+                    self.check.pages.on_zero_fill(key)
+                yield from self._wake(fault)
+                self.counters.incr("zero_page_faults")
+                yield from self._evict_until(self.lru.capacity, False)
+                if self.victim_policy is not None:
+                    yield from self._enforce_policy_caps(registration, False)
             else:
-                key = registration.key_for(addr)
-                if self.config.zero_page_tracker:
-                    first = self.tracker.is_first_access(key)
+                # Read fault: restore the page from remote memory.
+                sample = gauss(
+                    lat.lookup_page_hash_mean, lat.lookup_page_hash_sigma
+                )
+                if sample < 0.05:
+                    sample = 0.05
+                if not env.try_advance(sample):
+                    yield env.timeout(sample)
+                (self._ob_lookup or self._mk_observer(
+                    "_ob_lookup", CodePath.LOOKUP_PAGE_HASH))(sample)
+                if not config.zero_page_tracker and \
+                        self.tracker.is_first_access(key):
+                    # Tracker disabled: discover first touches the
+                    # slow way.
+                    path = yield from self._first_touch_via_store(
+                        fault, registration, key
+                    )
+                elif config.write_list_steal and \
+                        (steal := self.writeback.steal(key)) is not None:
+                    path = yield from self._resolve_from_steal(
+                        fault, registration, steal
+                    )
                 else:
-                    first = False
-
-                if first:
-                    # Figure 2's red path, as one cohort: insert-hash,
-                    # UFFD_ZEROPAGE, insert-LRU, wake — five charges,
-                    # one commit when the window is open.
-                    path = "zero_fill"
-                    sample = gauss(
-                        lat.insert_page_hash_mean,
-                        lat.insert_page_hash_sigma,
-                    )
-                    if sample < 0.05:
-                        sample = 0.05
-                    if window:
-                        clock += sample
-                    elif not env.try_advance(sample):
-                        yield env.timeout(sample)
-                    (self._ob_insert_hash or self._mk_observer(
-                        "_ob_insert_hash", CodePath.INSERT_PAGE_HASH_NODE,
-                    ))(sample)
-                    self.tracker.mark_seen(key)
-                    cost = uffd_lat.sample_zeropage(ops._rng)
-                    if window:
-                        clock += cost
-                        ops.finish_zeropage(table, addr)
-                    else:
-                        if not env.try_advance(cost):
-                            yield env.timeout(cost)
-                        ops.finish_zeropage(table, addr)
-                    (self._ob_zeropage or self._mk_observer(
-                        "_ob_zeropage", CodePath.UFFD_ZEROPAGE))(cost)
-                    sample = gauss(
-                        lat.insert_lru_mean, lat.insert_lru_sigma
-                    )
-                    if sample < 0.05:
-                        sample = 0.05
-                    if window:
-                        clock += sample
-                    elif not env.try_advance(sample):
-                        yield env.timeout(sample)
-                    (self._ob_insert_lru or self._mk_observer(
-                        "_ob_insert_lru", CodePath.INSERT_LRU_CACHE_NODE,
-                    ))(sample)
-                    self.lru.insert(addr, registration)
-                    if self._check_on:
-                        self.check.pages.on_zero_fill(key)
-                    wake_us = uffd_lat.wake_us
-                    if window:
-                        clock += wake_us
-                        if not env.try_advance_batch(clock):
-                            env.sync_to(clock)  # pragma: no cover
-                        if fault.resolved.triggered:
-                            raise UffdError(f"{fault!r} already woken")
-                        fault.resolved.succeed()
-                        ops.counters.incr("wake")
-                        (self._ob_wake or self._mk_observer(
-                            "_ob_wake", CodePath.WAKE))(wake_us)
-                    elif env.try_advance(wake_us):
-                        if fault.resolved.triggered:
-                            raise UffdError(f"{fault!r} already woken")
-                        fault.resolved.succeed()
-                        ops.counters.incr("wake")
-                        (self._ob_wake or self._mk_observer(
-                            "_ob_wake", CodePath.WAKE))(wake_us)
-                    else:
-                        yield from self._timed(
-                            CodePath.WAKE, ops.wake(fault)
-                        )
-                    self.counters.incr("zero_page_faults")
-                    # Post-wake (blue path) eviction interleaves with
-                    # the guest — stays event-driven, but flat.
-                    yield from self._evict_burst(self.lru.capacity, False)
-                    if self.victim_policy is not None:
-                        yield from self._enforce_policy_caps(
-                            registration, False
-                        )
-                else:
-                    # Read fault: restore the page from remote memory.
-                    sample = gauss(
-                        lat.lookup_page_hash_mean,
-                        lat.lookup_page_hash_sigma,
-                    )
-                    if sample < 0.05:
-                        sample = 0.05
-                    if window:
-                        clock += sample
-                    elif not env.try_advance(sample):
-                        yield env.timeout(sample)
-                    (self._ob_lookup or self._mk_observer(
-                        "_ob_lookup", CodePath.LOOKUP_PAGE_HASH))(sample)
-                    config = self.config
-                    handled = False
-                    if not config.zero_page_tracker and \
-                            self.tracker.is_first_access(key):
-                        if window:
-                            if not env.try_advance_batch(clock):
-                                env.sync_to(clock)  # pragma: no cover
-                            window = False
-                        yield from self._first_touch_via_store(
-                            fault, registration, key
-                        )
-                        handled = True
-                    elif config.write_list_steal:
-                        steal = self.writeback.steal(key)
-                        if steal is not None:
-                            if window:
-                                if not env.try_advance_batch(clock):
-                                    env.sync_to(clock)  # pragma: no cover
-                                window = False
-                            yield from self._resolve_from_steal(
-                                fault, registration, steal
-                            )
-                            handled = True
-                    elif self.writeback.holds(key):
-                        if window:
-                            if not env.try_advance_batch(clock):
-                                env.sync_to(clock)  # pragma: no cover
-                            window = False
+                    if not config.write_list_steal and \
+                            self.writeback.holds(key):
+                        # No stealing: wait until the pending write is
+                        # durable, then take the normal read path (two
+                        # full round trips).
                         yield from self.writeback.wait_durable(key)
                         self.counters.incr("waits_for_writeback")
-
-                    if handled:
-                        pass
-                    elif not config.async_read:
-                        if window:
-                            if not env.try_advance_batch(clock):
-                                env.sync_to(clock)  # pragma: no cover
-                            window = False
-                        yield from self._read_sync_path(
+                    if not config.async_read:
+                        path = yield from self._read_sync_path(
                             fault, registration, key
                         )
                     else:
-                        # §V-B async read, inlined: issue the read,
-                        # evict under it, copy + wake.
+                        # §V-B: issue the read, evict under it (the
+                        # REMAP runs while the vCPU is already
+                        # suspended, so its IPI is cheap), then copy +
+                        # wake.
                         path = "async_fetch"
-                        if window:
-                            if not env.try_advance_batch(clock):
-                                env.sync_to(clock)  # pragma: no cover
-                            window = False
                         issued_at = env._now
                         if self._check_on:
                             self.check.pages.on_read_issued(key)
                         handle = registration.store.read_async(key)
-                        lru = self.lru
-                        yield from self._evict_burst(
-                            lru.capacity - 1, True
+                        yield from self._evict_until(
+                            self.lru.capacity - 1, True
                         )
                         sample = gauss(
                             lat.update_page_cache_mean,
@@ -628,14 +467,14 @@ class Monitor:
                             except KeyNotFoundError as exc:
                                 if self._check_on:
                                     self.check.pages.on_read_failed(key)
-                                raise FluidMemError(
-                                    f"remote memory lost page {addr:#x} "
-                                    f"(key {key:#x}) on backend "
-                                    f"{registration.store.name!r} — an "
-                                    "evicting store (e.g. undersized "
-                                    "Memcached) cannot back FluidMem"
+                                raise self._lost_page(
+                                    registration, addr, key
                                 ) from exc
                             except TransientStoreError as exc:
+                                # The asynchronous top half failed; fall
+                                # back to retried synchronous reads
+                                # (that first attempt counts against the
+                                # policy's budget).
                                 self.counters.incr("async_read_failures")
                                 try:
                                     page = yield from self._fetch_with_retry(
@@ -649,40 +488,11 @@ class Monitor:
                         (self._ob_read or self._mk_observer(
                             "_ob_read", CodePath.READ_PAGE,
                         ))(env._now - issued_at)
-                        page = self._as_page(page, addr)
-                        # _install_unless_present, inlined.
-                        if addr in table._entries:
-                            self.counters.incr("duplicate_reads_dropped")
-                            installed = False
-                        else:
-                            cost = uffd_lat.sample_copy(ops._rng)
-                            if not env.try_advance(cost):
-                                yield env.timeout(cost)
-                            mapped = ops.finish_copy(
-                                table, addr, page, skip_if_present=True
-                            )
-                            (self._ob_copy or self._mk_observer(
-                                "_ob_copy", CodePath.UFFD_COPY))(cost)
-                            if addr not in lru._entries:
-                                lru.insert(addr, registration)
-                            installed = mapped is page
-                        if self._check_on:
-                            if installed:
-                                self.check.pages.on_read_installed(key)
-                            else:
-                                self.check.pages.on_read_dropped(key)
-                        wake_us = uffd_lat.wake_us
-                        if env.try_advance(wake_us):
-                            if fault.resolved.triggered:
-                                raise UffdError(f"{fault!r} already woken")
-                            fault.resolved.succeed()
-                            ops.counters.incr("wake")
-                            (self._ob_wake or self._mk_observer(
-                                "_ob_wake", CodePath.WAKE))(wake_us)
-                        else:
-                            yield from self._timed(
-                                CodePath.WAKE, ops.wake(fault)
-                            )
+                        yield from self._install_unless_present(
+                            registration, addr, key,
+                            self._as_page(page, addr),
+                        )
+                        yield from self._wake(fault)
                         self.counters.incr("remote_reads")
                         if self.victim_policy is not None:
                             yield from self._enforce_policy_caps(
@@ -691,12 +501,13 @@ class Monitor:
                         if self.prefetcher is not None:
                             self._maybe_prefetch(fault, registration)
         except StoreUnavailableError as exc:
-            # Graceful degradation, mirroring _service_fault.
-            self._fault_paths.pop(fault, None)
+            # Graceful degradation: the faulting vCPU gets the error
+            # (fail fast, no hang) while the monitor keeps serving the
+            # other VMs' faults.
             self.counters.incr("faults_failed_unavailable")
             if self._obs_on:
                 self.obs.tracer.instant(
-                    "fault_failed", self.env.now, cat="fault",
+                    "fault_failed", env.now, cat="fault",
                     track=self.name, addr=f"{fault.addr:#x}",
                     error=type(exc).__name__,
                 )
@@ -704,16 +515,9 @@ class Monitor:
                 fault.resolved._defused = True  # may have no waiter
                 fault.resolved.fail(exc)
             return
-        except BaseException:
-            self._fault_paths.pop(fault, None)
-            raise
         latency = env._now - start
         self.fault_latency.record(latency)
-        if self._fault_paths:
-            # A granular fallback helper classified this fault.
-            path = self._fault_paths.pop(fault, path)
         if self._obs_on:
-            path = path or "unclassified"
             hist = self._h_fault_latency
             if hist is None:
                 hist = self._h_fault_latency = self.obs.registry.histogram(
@@ -1000,140 +804,6 @@ class Monitor:
         if 0 <= slot < self._buffer_slot_count:
             self._buffer_policy.give(slot)
 
-    # -- fault handling -------------------------------------------------------------
-
-    def _handle_fault(self, fault: UffdFault) -> Generator:
-        registration = self._by_handle.get(fault.region)
-        if registration is None or not registration.active:
-            raise FluidMemError(
-                f"fault {fault!r} for an unregistered region"
-            )
-        if registration.quarantined:
-            # Fail fast: the backend was declared dead; do not hang the
-            # vCPU on a store that will never answer.
-            raise StoreUnavailableError(
-                f"VM pid={registration.qemu.pid} is quarantined: "
-                f"backend {registration.store.name!r} declared dead"
-            )
-        self.counters.incr("faults")
-        latency = self.config.latency
-        pending = self._charge_fast(
-            CodePath.EVENT_DISPATCH,
-            latency.dispatch_mean,
-            latency.dispatch_sigma,
-        )
-        if pending is not None:
-            yield from self._charge_slow(CodePath.EVENT_DISPATCH, pending)
-        if fault.addr in registration.table:
-            # A prefetch landed between the fault being raised and us
-            # reading the event: spurious — just wake the vCPU.
-            self._fault_paths[fault] = "spurious"
-            if self._prefetched_addrs:
-                token = (id(registration), fault.addr)
-                if token in self._prefetched_addrs:
-                    self._prefetched_addrs.discard(token)
-                    self.counters.incr("prefetch_hits")
-            if self.ops.try_wake(fault):
-                self.profiler.record(CodePath.WAKE, self.ops.latency.wake_us)
-            else:
-                yield from self._timed(CodePath.WAKE, self.ops.wake(fault))
-            self.counters.incr("spurious_faults")
-            return
-        key = registration.key_for(fault.addr)
-
-        if self.config.zero_page_tracker:
-            first = self.tracker.is_first_access(key)
-        else:
-            # Ablation: no tracker — every fault goes to the store and
-            # first touches pay a wasted round trip (KeyNotFound).
-            first = False
-
-        if first:
-            yield from self._handle_first_touch(fault, registration, key)
-        else:
-            yield from self._handle_read_fault(fault, registration, key)
-
-    def _handle_first_touch(
-        self, fault: UffdFault, registration: VmRegistration, key: int
-    ) -> Generator:
-        """Figure 2's red path: zero page, wake, evict asynchronously."""
-        self._fault_paths[fault] = "zero_fill"
-        latency = self.config.latency
-        pending = self._charge_fast(
-            CodePath.INSERT_PAGE_HASH_NODE,
-            latency.insert_page_hash_mean,
-            latency.insert_page_hash_sigma,
-        )
-        if pending is not None:
-            yield from self._charge_slow(
-                CodePath.INSERT_PAGE_HASH_NODE, pending
-            )
-        self.tracker.mark_seen(key)
-        done, _page, cost = self.ops.try_zeropage(
-            registration.table, fault.addr
-        )
-        if not done:
-            yield self.env.timeout(cost)
-            self.ops.finish_zeropage(registration.table, fault.addr)
-        self.profiler.record(CodePath.UFFD_ZEROPAGE, cost)
-        pending = self._charge_fast(
-            CodePath.INSERT_LRU_CACHE_NODE,
-            latency.insert_lru_mean,
-            latency.insert_lru_sigma,
-        )
-        if pending is not None:
-            yield from self._charge_slow(
-                CodePath.INSERT_LRU_CACHE_NODE, pending
-            )
-        self.lru.insert(fault.addr, registration)
-        if self._check_on:
-            self.check.pages.on_zero_fill(key)
-        if self.ops.try_wake(fault):
-            self.profiler.record(CodePath.WAKE, self.ops.latency.wake_us)
-        else:
-            yield from self._timed(CodePath.WAKE, self.ops.wake(fault))
-        self.counters.incr("zero_page_faults")
-        # Asynchronous (blue path): bring residency back under budget
-        # only after the guest is running again.
-        yield from self._evict_until(self.lru.capacity, interleaved=False)
-        yield from self._enforce_policy_caps(registration, False)
-
-    def _handle_read_fault(
-        self, fault: UffdFault, registration: VmRegistration, key: int
-    ) -> Generator:
-        """Re-access of an evicted page: restore it from remote memory."""
-        latency = self.config.latency
-        pending = self._charge_fast(
-            CodePath.LOOKUP_PAGE_HASH,
-            latency.lookup_page_hash_mean,
-            latency.lookup_page_hash_sigma,
-        )
-        if pending is not None:
-            yield from self._charge_slow(CodePath.LOOKUP_PAGE_HASH, pending)
-        if not self.config.zero_page_tracker and \
-                self.tracker.is_first_access(key):
-            # Tracker disabled: discover first touches the slow way.
-            yield from self._first_touch_via_store(fault, registration, key)
-            return
-
-        if self.config.write_list_steal:
-            steal = self.writeback.steal(key)
-            if steal is not None:
-                yield from self._resolve_from_steal(
-                    fault, registration, steal
-                )
-                return
-        elif self.writeback.holds(key):
-            # No stealing: wait until the pending write is durable,
-            # then take the normal read path (two full round trips).
-            yield from self.writeback.wait_durable(key)
-            self.counters.incr("waits_for_writeback")
-
-        if self.config.async_read:
-            yield from self._read_async_path(fault, registration, key)
-        else:
-            yield from self._read_sync_path(fault, registration, key)
-
     # -- resilience (retry / quarantine) ------------------------------------
 
     def _quarantine(self, registration: VmRegistration) -> None:
@@ -1221,113 +891,45 @@ class Monitor:
             self._quarantine(registration)
             raise
 
-    def _read_async_path(
-        self, fault: UffdFault, registration: VmRegistration, key: int
+    def _install_unless_present(
+        self, registration: VmRegistration, addr: int, key: int, page: Page
     ) -> Generator:
-        """§V-B: issue the read, evict under it, then copy + wake."""
-        self._fault_paths[fault] = "async_fetch"
-        latency = self.config.latency
-        issued_at = self.env.now
-        if self._check_on:
-            self.check.pages.on_read_issued(key)
-        handle = registration.store.read_async(key)
-        # Interleave the eviction and cache bookkeeping with the
-        # in-flight network read; REMAP runs while the vCPU is already
-        # suspended so its IPI is cheap (§V-B).
-        yield from self._evict_until(
-            self.lru.capacity - 1, interleaved=True
-        )
-        pending = self._charge_fast(
-            CodePath.UPDATE_PAGE_CACHE,
-            latency.update_page_cache_mean,
-            latency.update_page_cache_sigma,
-        )
-        if pending is not None:
-            yield from self._charge_slow(CodePath.UPDATE_PAGE_CACHE, pending)
-        pending = self._charge_fast(
-            CodePath.INSERT_LRU_CACHE_NODE,
-            latency.insert_lru_mean,
-            latency.insert_lru_sigma,
-        )
-        if pending is not None:
-            yield from self._charge_slow(
-                CodePath.INSERT_LRU_CACHE_NODE, pending
+        """COPY + LRU-insert a fetched page, unless a concurrent
+        prefetch already installed it while we waited on the store;
+        the read is then dropped."""
+        env = self.env
+        ops = self.ops
+        table = registration.table
+        if addr in table._entries:
+            self.counters.incr("duplicate_reads_dropped")
+            installed = False
+        else:
+            done, mapped, cost = ops.try_copy(
+                table, addr, page, skip_if_present=True
             )
-        try:
-            page = yield handle.event
-        except KeyNotFoundError as exc:
-            if self._check_on:
-                self.check.pages.on_read_failed(key)
-            raise FluidMemError(
-                f"remote memory lost page {fault.addr:#x} "
-                f"(key {key:#x}) on backend "
-                f"{registration.store.name!r} — an evicting store "
-                "(e.g. undersized Memcached) cannot back FluidMem"
-            ) from exc
-        except TransientStoreError as exc:
-            # The asynchronous top half failed; fall back to retried
-            # synchronous reads (that first attempt counts against the
-            # policy's budget).
-            self.counters.incr("async_read_failures")
-            try:
-                page = yield from self._fetch_with_retry(
-                    registration, key, prior_attempts=1,
-                    initial_error=exc,
+            if not done:
+                yield env.timeout(cost)
+                mapped = ops.finish_copy(
+                    table, addr, page, skip_if_present=True
                 )
-            except Exception:
-                if self._check_on:
-                    self.check.pages.on_read_failed(key)
-                raise
-        self.profiler.record(CodePath.READ_PAGE, self.env.now - issued_at)
-        page = self._as_page(page, fault.addr)
-        installed = yield from self._install_unless_present(
-            registration, fault.addr, page
-        )
+            (self._ob_copy or self._mk_observer(
+                "_ob_copy", CodePath.UFFD_COPY))(cost)
+            if addr not in self.lru._entries:
+                self.lru.insert(addr, registration)
+            installed = mapped is page
         if self._check_on:
             if installed:
                 self.check.pages.on_read_installed(key)
             else:
                 self.check.pages.on_read_dropped(key)
-        if self.ops.try_wake(fault):
-            self.profiler.record(CodePath.WAKE, self.ops.latency.wake_us)
-        else:
-            yield from self._timed(CodePath.WAKE, self.ops.wake(fault))
-        self.counters.incr("remote_reads")
-        yield from self._enforce_policy_caps(registration, True)
-        self._maybe_prefetch(fault, registration)
-
-    def _install_unless_present(
-        self, registration: VmRegistration, addr: int, page: Page
-    ) -> Generator:
-        """COPY + LRU-insert, unless a concurrent prefetch already
-        installed the page while we waited on the store.
-
-        Returns True when ``page`` itself was installed, False when a
-        concurrent resolver won the race and this copy was dropped.
-        """
-        if addr in registration.table:
-            self.counters.incr("duplicate_reads_dropped")
-            return False
-        done, mapped, cost = self.ops.try_copy(
-            registration.table, addr, page, skip_if_present=True
-        )
-        if not done:
-            yield self.env.timeout(cost)
-            mapped = self.ops.finish_copy(
-                registration.table, addr, page, skip_if_present=True
-            )
-        self.profiler.record(CodePath.UFFD_COPY, cost)
-        if addr not in self.lru:
-            self.lru.insert(addr, registration)
-        return mapped is page
 
     def _read_sync_path(
         self, fault: UffdFault, registration: VmRegistration, key: int
     ) -> Generator:
         """Unoptimized (Table II "Default"): everything in sequence."""
-        self._fault_paths[fault] = "sync_fetch"
-        latency = self.config.latency
-        issued_at = self.env.now
+        env = self.env
+        lat = self.config.latency
+        issued_at = env.now
         if self._check_on:
             self.check.pages.on_read_issued(key)
         try:
@@ -1335,54 +937,36 @@ class Monitor:
         except KeyNotFoundError as exc:
             if self._check_on:
                 self.check.pages.on_read_failed(key)
-            raise FluidMemError(
-                f"remote memory lost page {fault.addr:#x} "
-                f"(key {key:#x}) on backend "
-                f"{registration.store.name!r} — an evicting store "
-                "(e.g. undersized Memcached) cannot back FluidMem"
-            ) from exc
+            raise self._lost_page(registration, fault.addr, key) from exc
         except Exception:
             if self._check_on:
                 self.check.pages.on_read_failed(key)
             raise
-        self.profiler.record(CodePath.READ_PAGE, self.env.now - issued_at)
-        pending = self._charge_fast(
-            CodePath.UPDATE_PAGE_CACHE,
-            latency.update_page_cache_mean,
-            latency.update_page_cache_sigma,
-        )
-        if pending is not None:
-            yield from self._charge_slow(CodePath.UPDATE_PAGE_CACHE, pending)
+        self.profiler.record(CodePath.READ_PAGE, env.now - issued_at)
+        sample = max(0.05, self._rng.gauss(
+            lat.update_page_cache_mean, lat.update_page_cache_sigma
+        ))
+        if not env.try_advance(sample):
+            yield env.timeout(sample)
+        self.profiler.record(CodePath.UPDATE_PAGE_CACHE, sample)
         page = self._as_page(page, fault.addr)
-        pending = self._charge_fast(
-            CodePath.INSERT_LRU_CACHE_NODE,
-            latency.insert_lru_mean,
-            latency.insert_lru_sigma,
+        sample = max(0.05, self._rng.gauss(
+            lat.insert_lru_mean, lat.insert_lru_sigma
+        ))
+        if not env.try_advance(sample):
+            yield env.timeout(sample)
+        self.profiler.record(CodePath.INSERT_LRU_CACHE_NODE, sample)
+        yield from self._install_unless_present(
+            registration, fault.addr, key, page
         )
-        if pending is not None:
-            yield from self._charge_slow(
-                CodePath.INSERT_LRU_CACHE_NODE, pending
-            )
-        installed = yield from self._install_unless_present(
-            registration, fault.addr, page
-        )
-        if self._check_on:
-            if installed:
-                self.check.pages.on_read_installed(key)
-            else:
-                self.check.pages.on_read_dropped(key)
         # Synchronous eviction *before* the wake: the whole cost sits
         # on the critical path.
-        yield from self._evict_until(
-            self.lru.capacity, interleaved=False
-        )
-        if self.ops.try_wake(fault):
-            self.profiler.record(CodePath.WAKE, self.ops.latency.wake_us)
-        else:
-            yield from self._timed(CodePath.WAKE, self.ops.wake(fault))
+        yield from self._evict_until(self.lru.capacity, False)
+        yield from self._wake(fault)
         self.counters.incr("remote_reads")
         yield from self._enforce_policy_caps(registration, False)
         self._maybe_prefetch(fault, registration)
+        return "sync_fetch"
 
     def _maybe_prefetch(
         self, fault: UffdFault, registration: VmRegistration
@@ -1442,8 +1026,6 @@ class Monitor:
         self, registration: VmRegistration, addr: int, key: int,
         handle, token,
     ) -> Generator:
-        from ..errors import KeyNotFoundError
-
         try:
             page = yield handle.event
         except KeyNotFoundError:
@@ -1513,9 +1095,6 @@ class Monitor:
         self, fault: UffdFault, registration: VmRegistration, key: int
     ) -> Generator:
         """No-tracker ablation: pay a miss round trip, then zero-fill."""
-        from ..errors import KeyNotFoundError
-
-        self._fault_paths[fault] = "store_first_touch"
         issued_at = self.env.now
         try:
             page = yield from self._fetch_with_retry(registration, key)
@@ -1540,11 +1119,9 @@ class Monitor:
             if self._check_on:
                 self.check.pages.on_probe_installed(key)
         self.lru.insert(fault.addr, registration)
-        if self.ops.try_wake(fault):
-            self.profiler.record(CodePath.WAKE, self.ops.latency.wake_us)
-        else:
-            yield from self._timed(CodePath.WAKE, self.ops.wake(fault))
-        yield from self._evict_until(self.lru.capacity, interleaved=False)
+        yield from self._wake(fault)
+        yield from self._evict_until(self.lru.capacity, False)
+        return "store_first_touch"
 
     def _resolve_from_steal(
         self,
@@ -1553,10 +1130,6 @@ class Monitor:
         steal: StealResult,
     ) -> Generator:
         """§V-B: the faulted page is on the write list."""
-        self._fault_paths[fault] = (
-            "steal_local" if steal.state == StealResult.PENDING
-            else "steal_wait"
-        )
         if self._obs_on:
             self.obs.tracer.instant(
                 "batch_steal", self.env.now, cat="writeback",
@@ -1576,6 +1149,7 @@ class Monitor:
                 ),
             )
             self.counters.incr("steals_resolved_locally")
+            path = "steal_local"
         else:
             # In flight: "no other choice than to wait for the write to
             # complete", then resume immediately with the page.
@@ -1590,19 +1164,26 @@ class Monitor:
             if self._check_on:
                 self.check.pages.on_steal_installed(steal.entry.key)
             self.counters.incr("steals_after_wait")
+            path = "steal_wait"
         self.lru.insert(fault.addr, registration)
-        if self.ops.try_wake(fault):
-            self.profiler.record(CodePath.WAKE, self.ops.latency.wake_us)
-        else:
-            yield from self._timed(CodePath.WAKE, self.ops.wake(fault))
-        yield from self._evict_until(self.lru.capacity, interleaved=False)
+        yield from self._wake(fault)
+        yield from self._evict_until(self.lru.capacity, False)
         yield from self._enforce_policy_caps(registration, False)
+        return path
 
     # -- eviction -----------------------------------------------------------------
 
     def _evict_until(self, target: int, interleaved: bool) -> Generator:
-        while len(self.lru) > target:
-            yield from self._evict_one(interleaved)
+        lru = self.lru
+        while len(lru._entries) > target:
+            if self.victim_policy is not None:
+                candidate = self.victim_policy.select_victim(lru)
+            else:
+                candidate = lru.pop_eviction_candidate()
+            if candidate is None:
+                return
+            vaddr, registration = candidate
+            yield from self._evict_entry(vaddr, registration, interleaved)
 
     def _enforce_policy_caps(
         self, registration: VmRegistration, interleaved: bool
@@ -1618,23 +1199,17 @@ class Monitor:
                                          interleaved)
             self.counters.incr("cap_evictions")
 
-    def _evict_one(self, interleaved: bool) -> Generator:
-        if self.victim_policy is not None:
-            candidate = self.victim_policy.select_victim(self.lru)
-        else:
-            candidate = self.lru.pop_eviction_candidate()
-        if candidate is None:
-            return
-        vaddr, registration = candidate
-        yield from self._evict_entry(vaddr, registration, interleaved)
-
     def _evict_entry(
         self,
         vaddr: int,
         registration: VmRegistration,
         interleaved: bool,
     ) -> Generator:
-        evict_started = self.env.now
+        """UFFD_REMAP one victim into the eviction buffer, then queue
+        its write-back (or, without async write-back, write it now)."""
+        env = self.env
+        ops = self.ops
+        evict_started = env._now
         if self._prefetched_addrs:
             # A never-touched prefetched page going back out was
             # wasted work (and a wasted store round trip).
@@ -1643,21 +1218,19 @@ class Monitor:
                 self._prefetched_addrs.discard(token)
                 self.counters.incr("prefetches_wasted")
         buffer_vaddr = self._take_buffer_slot()
-        done, page, cost = self.ops.try_remap_out(
-            registration.table,
-            vaddr,
-            self.buffer_table,
-            buffer_vaddr,
+        done, page, cost = ops.try_remap_out(
+            registration.table, vaddr, self.buffer_table, buffer_vaddr,
             interleaved=interleaved,
         )
         if not done:
             # Pay the already-drawn cost as a plain timeout, then apply
-            # just the mutation — no ioctl generator on the slow path.
-            yield self.env.timeout(cost)
-            page = self.ops.finish_remap_out(
+            # just the mutation.
+            yield env.timeout(cost)
+            page = ops.finish_remap_out(
                 registration.table, vaddr, self.buffer_table, buffer_vaddr
             )
-        self.profiler.record(CodePath.UFFD_REMAP, cost)
+        (self._ob_remap or self._mk_observer(
+            "_ob_remap", CodePath.UFFD_REMAP))(cost)
         key = registration.key_for(vaddr)
         self.counters.incr("evictions")
         if self.config.async_writeback:
@@ -1665,109 +1238,25 @@ class Monitor:
                 self.check.pages.on_evicted(key, durable=False)
             self.writeback.enqueue(
                 WritebackEntry(
-                    key, page, buffer_vaddr, registration, self.env.now
+                    key, page, buffer_vaddr, registration, env._now
                 )
             )
         else:
-            issued_at = self.env.now
+            issued_at = env._now
             yield from self._put_with_retry(registration, key, page)
             if self._check_on:
                 self.check.pages.on_evicted(key, durable=True)
-            self.profiler.record(
-                CodePath.WRITE_PAGE, self.env.now - issued_at
-            )
+            self.profiler.record(CodePath.WRITE_PAGE, env._now - issued_at)
             pte = self.buffer_table.unmap(buffer_vaddr)
-            self.ops.frames.free(pte.frame)
+            ops.frames.free(pte.frame)
             self._release_buffer_slot(buffer_vaddr)
         if self._obs_on:
-            self.obs.registry.histogram(
-                "path_latency_us", path="eviction", vm=self.name
-            ).observe(self.env.now - evict_started)
-
-    def _evict_burst(self, target: int, interleaved: bool) -> Generator:
-        """Flat eviction cohort: :meth:`_evict_until` with the
-        :meth:`_evict_one` → :meth:`_evict_entry` generator chain
-        unrolled into one loop (DESIGN.md §17).
-
-        Byte-equivalent to the granular chain — same RNG draws, same
-        charge order, same counter/check/metrics effects per victim —
-        minus two generator frames and the repeated attribute lookups
-        per evicted page.  Only the flat burst path calls this; the
-        granular service path keeps the original chain.
-        """
-        lru = self.lru
-        if len(lru) <= target:
-            return
-        env = self.env
-        ops = self.ops
-        victim_policy = self.victim_policy
-        async_wb = self.config.async_writeback
-        check_on = self._check_on
-        obs_on = self._obs_on
-        sample_remap = ops.latency.sample_remap
-        uffd_rng = ops._rng
-        try_advance = env.try_advance
-        finish_remap_out = ops.finish_remap_out
-        record_remap = self._ob_remap or self._mk_observer(
-            "_ob_remap", CodePath.UFFD_REMAP
-        )
-        incr = self.counters.incr
-        buffer_table = self.buffer_table
-        enqueue = self.writeback.enqueue
-        entries = lru._entries
-        while len(entries) > target:
-            if victim_policy is not None:
-                candidate = victim_policy.select_victim(lru)
-            else:
-                candidate = lru.pop_eviction_candidate()
-            if candidate is None:
-                return
-            vaddr, registration = candidate
-            evict_started = env._now
-            if self._prefetched_addrs:
-                token = (id(registration), vaddr)
-                if token in self._prefetched_addrs:
-                    self._prefetched_addrs.discard(token)
-                    incr("prefetches_wasted")
-            buffer_vaddr = self._take_buffer_slot()
-            cost = sample_remap(uffd_rng, interleaved)
-            if not try_advance(cost):
-                yield env.timeout(cost)
-            page = finish_remap_out(
-                registration.table, vaddr, buffer_table, buffer_vaddr
-            )
-            record_remap(cost)
-            key = registration.key_for(vaddr)
-            incr("evictions")
-            if async_wb:
-                if check_on:
-                    self.check.pages.on_evicted(key, durable=False)
-                enqueue(
-                    WritebackEntry(
-                        key, page, buffer_vaddr, registration, env._now
-                    )
+            hist = self._h_evict_latency
+            if hist is None:
+                hist = self._h_evict_latency = self.obs.registry.histogram(
+                    "path_latency_us", path="eviction", vm=self.name
                 )
-            else:
-                issued_at = env._now
-                yield from self._put_with_retry(registration, key, page)
-                if check_on:
-                    self.check.pages.on_evicted(key, durable=True)
-                (self._ob_write or self._mk_observer(
-                    "_ob_write", CodePath.WRITE_PAGE,
-                ))(env._now - issued_at)
-                pte = buffer_table.unmap(buffer_vaddr)
-                ops.frames.free(pte.frame)
-                self._release_buffer_slot(buffer_vaddr)
-            if obs_on:
-                hist = self._h_evict_latency
-                if hist is None:
-                    hist = self._h_evict_latency = (
-                        self.obs.registry.histogram(
-                            "path_latency_us", path="eviction",
-                            vm=self.name,
-                        )
-                    )
-                hist.observe(env._now - evict_started)
+            hist.observe(env._now - evict_started)
 
     # -- helpers ---------------------------------------------------------------------
 
@@ -1780,34 +1269,25 @@ class Monitor:
         page.write()
         return page
 
-    def _charge_fast(
-        self, path: CodePath, mean: float, sigma: float
-    ) -> Optional[float]:
-        """Non-generator handler-time charge.
+    @staticmethod
+    def _lost_page(
+        registration: VmRegistration, addr: int, key: int
+    ) -> FluidMemError:
+        """The error for a page the store durably lost (KeyNotFound)."""
+        return FluidMemError(
+            f"remote memory lost page {addr:#x} (key {key:#x}) on backend "
+            f"{registration.store.name!r} — an evicting store "
+            "(e.g. undersized Memcached) cannot back FluidMem"
+        )
 
-        Returns ``None`` when the clock bump settled without any event
-        machinery, else the drawn sample for :meth:`_charge_slow` — the
-        RNG stream is part of the determinism contract and must never
-        see a redraw.
-        """
-        sample = max(0.05, self._rng.gauss(mean, sigma))
-        if self.env.try_advance(sample):
-            self.profiler.record(path, sample)
-            return None
-        return sample
-
-    def _charge_slow(self, path: CodePath, sample: float) -> Generator:
-        yield self.env.timeout(sample)
-        self.profiler.record(path, sample)
-
-    def _charge(
-        self, path: CodePath, mean: float, sigma: float
-    ) -> Generator:
-        # A pure handler-time charge: skip the event machinery when the
-        # clock bump is provably equivalent to the timeout it replaces.
-        pending = self._charge_fast(path, mean, sigma)
-        if pending is not None:
-            yield from self._charge_slow(path, pending)
+    def _wake(self, fault: UffdFault) -> Generator:
+        """UFFDIO_WAKE the faulting vCPU, profiled."""
+        ops = self.ops
+        if ops.try_wake(fault):
+            (self._ob_wake or self._mk_observer(
+                "_ob_wake", CodePath.WAKE))(ops.latency.wake_us)
+        else:
+            yield from self._timed(CodePath.WAKE, ops.wake(fault))
 
     def _timed(self, path: CodePath, operation: Generator) -> Generator:
         started = self.env.now

@@ -10,7 +10,8 @@ Five measurements, smallest scope to largest:
   ``Store.put_nowait`` → ``Store.try_get_batch`` hand-offs with the
   cohort's accumulated cost committed through
   ``Environment.try_advance_batch`` (DESIGN.md §17), reported as
-  ops/sec.  This is the layer the monitor's flat fault path stands on.
+  ops/sec.  The monitor's fault loop drains bursts through the same
+  store hand-off.
 * **monitor** — the FluidMem fault path end to end: pmbench against the
   ``fluidmem-dram`` platform at a tiny memory scale so every access
   faults, reported as accesses/sec.  Exercises uffd delivery, the
@@ -116,9 +117,9 @@ def bench_burst_resolve(ops: int = 600_000) -> float:
 
     One op = one ``put_nowait`` enqueue immediately drained through the
     guarded ``try_get_batch``, with the cohort's clock cost committed
-    as one ``try_advance_batch`` call every 64 ops — the exact
-    primitive sequence the monitor's flat fault path (DESIGN.md §17)
-    issues while a burst window is open.  With the batch switches off
+    as one ``try_advance_batch`` call every 64 ops (DESIGN.md §17);
+    the hand-off is the one the monitor's fault loop drains bursts
+    through.  With the batch switches off
     the guarded calls fall back to their granular equivalents, so the
     spread between the two runs is the batch layer's own contribution.
     """

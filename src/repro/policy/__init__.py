@@ -9,7 +9,7 @@ experiment (``python -m repro.bench tournament``):
 * :mod:`repro.policy.prefetch` — which pages the monitor pulls ahead
   of demand (none, sequential, Leap majority-trend),
 * :mod:`repro.policy.share` — which VM's page is evicted first
-  (weighted proportional shares; previously ``repro.core.policy``).
+  (weighted proportional shares).
 
 ``repro.policy.share`` imports from :mod:`repro.core` and is loaded
 lazily here, so the allocation/prefetch half of the package stays

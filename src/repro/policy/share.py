@@ -13,10 +13,8 @@ When the monitor must evict, the policy picks the victim VM with the
 highest usage relative to its entitlement (capped VMs first, guaranteed
 minima last) and evicts that VM's oldest page.
 
-Historically this lived at ``repro.core.policy``; it moved here when
-the :mod:`repro.policy` package collected every pluggable policy
-family (allocation, prefetch, shares).  The old module remains as a
-deprecation shim.
+:mod:`repro.core` re-exports :class:`SharePolicy` and
+:class:`ShareSpec`.
 """
 
 from __future__ import annotations

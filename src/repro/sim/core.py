@@ -895,14 +895,7 @@ class Environment:
         Returns False (mutating nothing) when the window is closed or
         ``target`` is in the past.
         """
-        if (
-            not FASTPATH_ON
-            or not BATCH_ON
-            or self.scheduler is not None
-            or target < self._now
-            or self._heap
-            or self._until_cap is not None
-        ):
+        if target < self._now or not self.batch_window():
             return False
         self._now = target
         return True

@@ -50,6 +50,66 @@ def test_read_overlapping_a_write_may_see_either():
     assert check.violations == []
 
 
+def test_read_overlapping_an_unacked_put_may_see_it():
+    """The kv campaign's false positive: a put invoked before the read
+    ended but acked only after it is in flight during the read."""
+    check = CorrectnessChecker(enabled=True)
+    history = KvHistory(check)
+    old, new = object(), object()
+    history.record_ack(1, old, now=10.0)
+    history.record_invoke(1, new, now=19.0)
+    history.check_read(1, new, started_us=20.0, now=21.0)
+    history.check_read(1, old, started_us=20.0, now=21.0)
+    history.record_ack(1, new, now=22.0)
+    assert check.violations == []
+    # Once acked before a read begins, the put is the floor.
+    with pytest.raises(InvariantViolation) as excinfo:
+        history.check_read(1, old, started_us=23.0, now=24.0)
+    assert "stale read" in str(excinfo.value)
+
+
+def test_value_of_a_put_invoked_after_the_read_is_flagged():
+    check = CorrectnessChecker(enabled=True)
+    history = KvHistory(check)
+    old, new = object(), object()
+    history.record_ack(1, old, now=10.0)
+    history.record_invoke(1, new, now=30.0)
+    with pytest.raises(InvariantViolation) as excinfo:
+        history.check_read(1, new, started_us=20.0, now=21.0)
+    assert "no acked or" in str(excinfo.value)
+
+
+class _SlowAckStore(DramStore):
+    """Applies a put at once but acknowledges it only later, like a
+    replicated write still waiting on its slowest replica."""
+
+    def put(self, key, value, nbytes=4096):
+        self._insert(key, value, nbytes)
+        yield self.env.timeout(50.0)
+
+
+def test_recording_store_accepts_a_read_overlapping_an_unacked_put():
+    env = Environment()
+    check = CorrectnessChecker(enabled=True)
+    store = RecordingStore(_SlowAckStore(env), check)
+    old, new = object(), object()
+    run(env, store.put(1, old))
+    seen = []
+
+    def writer(env):
+        yield from store.put(1, new)
+
+    def reader(env):
+        seen.append((yield from store.get(1)))
+
+    env.process(writer(env))
+    env.process(reader(env))
+    env.run()
+    assert seen == [new]
+    assert store.history.reads_checked == 1
+    assert check.violations == []
+
+
 def test_unknown_value_is_flagged():
     check = CorrectnessChecker(enabled=True)
     history = KvHistory(check)

@@ -1,5 +1,7 @@
 """Unit tests for the pluggable allocation policies."""
 
+import warnings
+
 import pytest
 
 from repro.errors import FluidMemError
@@ -229,6 +231,16 @@ def test_policy_combo_label_and_validation():
         PolicyCombo("nope", "leap", 1)
     with pytest.raises(FluidMemError):
         PolicyCombo("buddy", "leap", 0)
+
+
+def test_new_import_paths_do_not_warn():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        from repro.core import SharePolicy as from_core
+        from repro.policy import SharePolicy as from_policy
+        from repro.policy.share import SharePolicy as from_share
+
+    assert from_core is from_policy is from_share
 
 
 def test_frame_allocator_fragmentation_telemetry():
