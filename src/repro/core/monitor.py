@@ -250,17 +250,10 @@ class Monitor:
             yield from self._run_concurrent()
             return
         # The paper's single-threaded monitor loop: one fault at a
-        # time, in event order.  Burst drain (DESIGN.md §17): when a
-        # fault burst is already queued (e.g. several vCPUs faulted
-        # while a previous fault was being serviced), the guarded
-        # ``try_get_batch`` consumes the next event with zero heap
-        # traffic; each fault is still serviced one at a time, in the
-        # exact order the granular rendezvous would have produced.
+        # time, in event order.
         events = self.uffd.events
         while self._running:
-            fault = events.try_get_batch() if events.items else None
-            if fault is None:
-                fault = yield events.get()
+            fault = yield events.get()
             yield from self._service_fault(fault)
 
     def _run_concurrent(self) -> Generator:
@@ -297,8 +290,8 @@ class Monitor:
 
         Dispatch, then a spurious wake, a zero fill or a remote read,
         the wake, and the eviction that restores the DRAM budget.  It
-        is the only fault-service routine: one handler or many, either
-        engine switch, any schedule policy.  Each handler-time charge
+        is the only fault-service routine: one handler or many, fast
+        paths on or off, any schedule policy.  Each handler-time charge
         is settled by :meth:`~repro.sim.Environment.try_advance` when
         that is provably equivalent to a timeout, and yields the
         timeout otherwise, so a schedule policy sees every scheduling
@@ -456,35 +449,29 @@ class Monitor:
                             "_ob_insert_lru",
                             CodePath.INSERT_LRU_CACHE_NODE,
                         ))(sample)
-                        event = handle.event
-                        if env.take_next(event):
-                            # A process-free completion that is the next
-                            # event: fire it here instead of parking.
-                            page = event._value
-                        else:
+                        try:
+                            page = yield handle.event
+                        except KeyNotFoundError as exc:
+                            if self._check_on:
+                                self.check.pages.on_read_failed(key)
+                            raise self._lost_page(
+                                registration, addr, key
+                            ) from exc
+                        except TransientStoreError as exc:
+                            # The asynchronous top half failed; fall
+                            # back to retried synchronous reads (that
+                            # first attempt counts against the policy's
+                            # budget).
+                            self.counters.incr("async_read_failures")
                             try:
-                                page = yield event
-                            except KeyNotFoundError as exc:
+                                page = yield from self._fetch_with_retry(
+                                    registration, key, prior_attempts=1,
+                                    initial_error=exc,
+                                )
+                            except Exception:
                                 if self._check_on:
                                     self.check.pages.on_read_failed(key)
-                                raise self._lost_page(
-                                    registration, addr, key
-                                ) from exc
-                            except TransientStoreError as exc:
-                                # The asynchronous top half failed; fall
-                                # back to retried synchronous reads
-                                # (that first attempt counts against the
-                                # policy's budget).
-                                self.counters.incr("async_read_failures")
-                                try:
-                                    page = yield from self._fetch_with_retry(
-                                        registration, key, prior_attempts=1,
-                                        initial_error=exc,
-                                    )
-                                except Exception:
-                                    if self._check_on:
-                                        self.check.pages.on_read_failed(key)
-                                    raise
+                                raise
                         (self._ob_read or self._mk_observer(
                             "_ob_read", CodePath.READ_PAGE,
                         ))(env._now - issued_at)

@@ -102,9 +102,8 @@ class Profiler:
     def observer(self, path: CodePath):
         """The cached bound ``Histogram.observe`` for ``path``.
 
-        Burst-resolution callers (the monitor's flat fault path,
-        DESIGN.md §17) record several samples per fault; holding the
-        bound observer skips the per-call path lookup that
+        The monitor's fault path records several samples per fault;
+        holding the bound observer skips the per-call path lookup that
         :meth:`record` pays.  Cached observers are invalidated by
         :meth:`reset` — re-fetch after a reset.
         """

@@ -57,7 +57,7 @@ class DramStore(KeyValueBackend):
         :class:`~repro.sim.core.Process` per read — an ``Initialize``
         heap event, a generator frame, and a process-completion heap
         event.  A DRAM read is RNG-free with a fixed ``COPY_US``
-        charge, so under the burst switches (DESIGN.md §17) the whole
+        charge, so under the fast-path switch (DESIGN.md §17) the whole
         bottom half collapses to two callbacks:
 
         * a bare start event scheduled exactly where ``Initialize``
@@ -75,7 +75,6 @@ class DramStore(KeyValueBackend):
         env = self.env
         if (
             not _simcore.FASTPATH_ON
-            or not _simcore.BATCH_ON
             or env.scheduler is not None
             # A subclass that overrides get() (e.g. fault-injecting test
             # stores) must keep driving reads through it.

@@ -203,8 +203,8 @@ class Fabric:
         to drawing them here, now, when nothing else can run first and
         nothing can take the NIC ahead of it:
 
-        * fast-path and batch switches on, no schedule policy, no
-          ``run(until=<time>)`` cap;
+        * fast-path switch on, no schedule policy, no ``run(until=<time>)``
+          cap;
         * a single-queue client NIC with no holder, no waiter and no
           inline hold still running;
         * no heap event at or before the end of serialization.
@@ -217,7 +217,7 @@ class Fabric:
         a host or link is unknown (the granular path raises that error).
         """
         counters = self.counters
-        if not _simcore.FASTPATH_ON or not _simcore.BATCH_ON:
+        if not _simcore.FASTPATH_ON:
             counters.incr("refused_switch_off")
             return None
         env = self.env

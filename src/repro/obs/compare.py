@@ -9,12 +9,17 @@ Compares every tracked latency statistic (p50 and p99 of each
 histogram) of ``current`` against ``baseline`` and exits non-zero if
 any regressed by more than ``--threshold`` (relative).  Histograms with
 fewer than ``--min-count`` samples on either side are skipped (too
-noisy to gate on), as are absolute differences below ``--min-us``.
+noisy to gate on), as are absolute differences below ``--min-us``.  A
+baseline experiment, or a baseline histogram with at least
+``--min-count`` samples, that the current document lacks fails the gate
+too: a run that drops what the gate tracks must not pass it.
+Histograms new in the current document are fine.
 
-To refresh the checked-in baseline after an intentional perf change::
+To refresh the checked-in baseline after an intentional perf change
+(the same experiments CI gates)::
 
-    PYTHONPATH=src python -m repro.bench fig3 table1 cluster --quick \
-        --metrics benchmarks/baselines/quick-seed42.json
+    PYTHONPATH=src python -m repro.bench fig3 table1 cluster market \
+        --quick --metrics benchmarks/baselines/quick-seed42.json
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import json
 import sys
 from typing import Dict, List, Optional, Sequence
 
-__all__ = ["Regression", "compare_metrics", "main"]
+__all__ = ["Regression", "compare_metrics", "missing_from_current", "main"]
 
 #: The percentiles the gate tracks per histogram.
 TRACKED_STATS = ("p50", "p99")
@@ -111,6 +116,34 @@ def compare_metrics(
     return regressions
 
 
+def missing_from_current(
+    baseline: Dict[str, object],
+    current: Dict[str, object],
+    min_count: int = 50,
+) -> List[str]:
+    """Gated baseline entries the current document lacks.
+
+    One ``"<experiment>"`` line per missing experiment, and one
+    ``"<experiment>: <histogram>"`` line per missing histogram that has
+    at least ``min_count`` baseline samples (the ones
+    :func:`compare_metrics` would have gated).
+    """
+    missing: List[str] = []
+    base_experiments = _experiments(baseline)
+    curr_experiments = _experiments(current)
+    for experiment in sorted(base_experiments):
+        if experiment not in curr_experiments:
+            missing.append(experiment)
+            continue
+        curr_hists = curr_experiments[experiment].get("histograms", {})
+        for key, row in sorted(
+            base_experiments[experiment].get("histograms", {}).items()
+        ):
+            if key not in curr_hists and row.get("count", 0) >= min_count:
+                missing.append(f"{experiment}: {key}")
+    return missing
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.obs.compare",
@@ -137,6 +170,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         min_count=args.min_count,
         min_us=args.min_us,
     )
+    missing = missing_from_current(
+        baseline, current, min_count=args.min_count
+    )
     if regressions:
         print(
             f"{len(regressions)} tracked latency stat(s) regressed more "
@@ -144,10 +180,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
         for regression in regressions:
             print(f"  {regression}")
+    if missing:
         print(
-            "\nIf this slowdown is intentional, refresh the baseline:\n"
-            "  PYTHONPATH=src python -m repro.bench fig3 table1 "
-            f"cluster --quick --metrics {args.baseline}"
+            f"{len(missing)} gated experiment(s)/histogram(s) missing "
+            "from the current run:"
+        )
+        for entry in missing:
+            print(f"  {entry}")
+    if regressions or missing:
+        print(
+            "\nIf this change is intentional, refresh the baseline:\n"
+            "  PYTHONPATH=src python -m repro.bench fig3 table1 cluster "
+            f"market --quick --metrics {args.baseline}"
         )
         return 1
     print("bench-baseline gate: no tracked latency regressions")

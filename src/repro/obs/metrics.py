@@ -100,7 +100,7 @@ class Histogram:
     capped — the bench's quick runs stay far below the cap.
     """
 
-    __slots__ = ("key", "edges", "_bucket_counts", "_recorder", "_record")
+    __slots__ = ("key", "edges", "_bucket_counts", "_recorder")
 
     def __init__(
         self,
@@ -119,9 +119,6 @@ class Histogram:
         self.edges = ordered
         self._bucket_counts = [0] * (len(ordered) + 1)
         self._recorder = LatencyRecorder(key, max_samples=max_samples)
-        # Bound-method cache: observe() is the monitor's per-charge hot
-        # path (one call per profiled code-path sample).
-        self._record = self._recorder.record
 
     def observe(self, value: float) -> None:
         self._bucket_counts[_bisect_left(self.edges, value)] += 1
@@ -149,22 +146,6 @@ class Histogram:
         max_samples = recorder.max_samples
         if max_samples is None or len(samples) < max_samples:
             samples.append(value)
-
-    def observe_many(self, values) -> None:
-        """Record a cohort of samples in one call (DESIGN.md §17).
-
-        Strictly sequential — each sample goes through the exact same
-        bucket increment and Welford update as :meth:`observe`, in
-        cohort order, so the summary statistics are bit-identical to N
-        individual calls (a pairwise/parallel merge would round
-        differently).  The only saving is the per-sample call dispatch.
-        """
-        counts = self._bucket_counts
-        edges = self.edges
-        record = self._record
-        for value in values:
-            counts[_bisect_left(edges, value)] += 1
-            record(value)
 
     # -- accessors ---------------------------------------------------------
 

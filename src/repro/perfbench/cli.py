@@ -15,7 +15,7 @@ than ``--max-regression`` (default 2x — generous on purpose: these are
 wall-clock numbers on shared runners).  ``--no-fastpath`` measures the
 engine with every fast path disabled, the same configuration a
 schedule-exploration policy forces; the spread between the two runs is
-the batching layer's contribution.
+the fast paths' contribution.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ __all__ = [
 #: metric name -> "higher" (rates) or "lower" (seconds) is better.
 METRIC_DIRECTIONS = (
     ("engine_events_per_sec", "higher"),
-    ("burst_resolve_ops_per_sec", "higher"),
     ("monitor_ops_per_sec", "higher"),
     ("fig3_quick_seconds", "lower"),
     ("prefetcher_ops_per_sec", "higher"),
@@ -176,7 +175,7 @@ def _parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="run the seeded benchmarks over seeds 0..N-1 instead of "
-             "the three-metric suite",
+             "the four-metric suite",
     )
     parser.add_argument(
         "--workers",

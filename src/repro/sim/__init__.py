@@ -12,9 +12,7 @@ from .core import (
     Event,
     Process,
     Timeout,
-    batch_enabled,
     fastpath_enabled,
-    set_batch,
     set_fastpath,
 )
 from .randomness import RandomStreams, derive_seed
@@ -37,8 +35,6 @@ __all__ = [
     "AllOf",
     "set_fastpath",
     "fastpath_enabled",
-    "set_batch",
-    "batch_enabled",
     "Resource",
     "Store",
     "Container",

@@ -17,9 +17,7 @@ case — a :class:`Timeout` yielded by exactly one :class:`Process` —
 is aggressively optimized:
 
 * every event class uses ``__slots__`` (no per-event ``__dict__``);
-* fire-once timeouts are recycled through a per-environment free list,
-  so the dominant ``yield env.timeout(x)`` pattern allocates nothing
-  at steady state;
+* :meth:`Environment.timeout` inlines the ``Timeout`` construction;
 * scheduling inlines the no-:attr:`Environment.scheduler` case (no
   perturb/tiebreak dispatch, module-level ``heappush``);
 * :meth:`Environment.run` drives a local-variable event loop instead of
@@ -74,8 +72,6 @@ __all__ = [
     "PENDING",
     "set_fastpath",
     "fastpath_enabled",
-    "set_batch",
-    "batch_enabled",
 ]
 
 #: Sentinel for an event value that has not been set yet.
@@ -89,14 +85,11 @@ PRIORITY_URGENT = 0
 _heappush = heapq.heappush
 _heappop = heapq.heappop
 
-#: Maximum recycled Timeout objects kept per environment.
-_TIMEOUT_POOL_MAX = 1024
-
-#: Module-wide fast-path switch (timeout pooling + try_advance).  Off
-#: ≈ the pre-overhaul engine, for A/B wall-clock measurement and the
-#: batching determinism pins.  Seeded runs produce byte-identical
-#: simulated results either way — that equivalence is the fast-path
-#: contract (DESIGN.md §12).
+#: Module-wide fast-path switch: ``try_advance``, ``Resource.try_acquire``
+#: and the process-free remote reads.  Off ≈ the pre-overhaul engine,
+#: for A/B wall-clock measurement and the determinism pins.  Seeded runs
+#: produce byte-identical simulated results either way — that
+#: equivalence is the fast-path contract (DESIGN.md §12).
 FASTPATH_ON = os.environ.get("REPRO_SIM_FASTPATH", "1").lower() not in (
     "0", "false", "off", "no",
 )
@@ -113,29 +106,6 @@ def set_fastpath(enabled: bool) -> bool:
 def fastpath_enabled() -> bool:
     """Current state of the module-wide fast-path switch."""
     return FASTPATH_ON
-
-
-#: Module-wide batch-resolution switch (DESIGN.md §17).  Layered on top
-#: of FASTPATH_ON: batch paths require *both* switches, so
-#: ``REPRO_SIM_FASTPATH=0`` disables batching too, while
-#: ``REPRO_SIM_BATCH=0`` isolates just the burst-resolution layer for
-#: A/B measurement and the batch determinism pins.
-BATCH_ON = os.environ.get("REPRO_SIM_BATCH", "1").lower() not in (
-    "0", "false", "off", "no",
-)
-
-
-def set_batch(enabled: bool) -> bool:
-    """Toggle the batch-resolution paths; returns the previous setting."""
-    global BATCH_ON
-    previous = BATCH_ON
-    BATCH_ON = bool(enabled)
-    return previous
-
-
-def batch_enabled() -> bool:
-    """Current state of the module-wide batch-resolution switch."""
-    return BATCH_ON
 
 
 class Event:
@@ -243,7 +213,7 @@ class Event:
 class Timeout(Event):
     """An event that fires ``delay`` µs after it is created."""
 
-    __slots__ = ("delay", "poolable")
+    __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
         if delay < 0:
@@ -255,9 +225,6 @@ class Timeout(Event):
         self._ok = True
         self._defused = False
         self.delay = delay
-        #: Marked by Process._resume when the sole waiter is a parked
-        #: process — the only shape safe to recycle (DESIGN.md §12).
-        self.poolable = False
         env._schedule(self, delay=delay)
 
     def __repr__(self) -> str:
@@ -384,11 +351,8 @@ class Process(Event):
                     callbacks = target.callbacks
                     if callbacks is not None:
                         # Hot path: a pending event — park until it
-                        # fires.  A Timeout we are the only waiter of is
-                        # safe to recycle once it fires.
+                        # fires.
                         if target.env is env:
-                            if not callbacks and type(target) is Timeout:
-                                target.poolable = True
                             callbacks.append(self._resume_cb)
                             self._target = target
                             return
@@ -500,7 +464,6 @@ class Environment:
         "_seq",
         "active_process",
         "scheduler",
-        "_timeout_pool",
         "_until_cap",
     )
 
@@ -515,11 +478,10 @@ class Environment:
         #: ``perturb_delay``/``tiebreak``, see repro.check.explorer).
         #: When None the engine behaves exactly as before: FIFO order
         #: among same-timestamp events, no delay perturbation.  Setting
-        #: a policy also disables the fast paths (timeout pooling and
-        #: try_advance) so the policy sees every scheduling decision.
+        #: a policy also disables the fast paths (try_advance and the
+        #: process-free reads) so the policy sees every scheduling
+        #: decision.
         self.scheduler: Optional[Any] = None
-        #: Recycled fire-once Timeouts (see DESIGN.md §12).
-        self._timeout_pool: List[Timeout] = []
         #: Upper clock bound while inside ``run(until=<time>)``; guards
         #: try_advance against overshooting the stop time.
         self._until_cap: Optional[float] = None
@@ -540,25 +502,14 @@ class Environment:
         if self.scheduler is None:
             if delay < 0:
                 raise SimulationError(f"negative timeout delay {delay!r}")
-            pool = self._timeout_pool
-            if pool:
-                # Recycled events come back with their (cleared)
-                # callbacks list attached and _ok/_defused already in
-                # the fired-successfully shape; only value, delay and
-                # the poolable mark need refreshing.
-                event = pool.pop()
-                event._value = value
-                event.delay = delay
-            else:
-                # Inlined Timeout construction (no __init__ dispatch).
-                event = Timeout.__new__(Timeout)
-                event.env = self
-                event.callbacks = []
-                event._value = value
-                event._ok = True
-                event._defused = False
-                event.delay = delay
-                event.poolable = False
+            # Inlined Timeout construction (no __init__ dispatch).
+            event = Timeout.__new__(Timeout)
+            event.env = self
+            event.callbacks = []
+            event._value = value
+            event._ok = True
+            event._defused = False
+            event.delay = delay
             _heappush(
                 self._heap,
                 (self._now + delay, PRIORITY_NORMAL, next(self._seq), event),
@@ -625,37 +576,6 @@ class Environment:
         self._schedule_at(event, when)
         return event
 
-    def take_next(self, event: Event) -> bool:
-        """Fire ``event`` inline iff that is provably equivalent to the
-        calling process yielding it.
-
-        Equivalence requires that ``event`` is already scheduled to
-        succeed and sits at the head of the heap — so it is the very
-        next thing the engine would fire, and the caller would resume
-        from its callbacks with nothing in between — plus the
-        :meth:`try_advance` conditions: fast-path and batch switches on,
-        no schedule-exploration policy, and no ``run(until=<time>)`` cap
-        the jump would overshoot.  On success the event is popped, the
-        clock moves to its time and its callbacks run (the caller, not
-        being attached, continues with ``event.value``).  Returns False,
-        mutating nothing, otherwise.
-        """
-        if not FASTPATH_ON or not BATCH_ON or self.scheduler is not None:
-            return False
-        heap = self._heap
-        if not heap or heap[0][3] is not event or not event._ok:
-            return False
-        when = heap[0][0]
-        cap = self._until_cap
-        if cap is not None and when > cap:
-            return False
-        _heappop(heap)
-        self._now = when
-        callbacks, event.callbacks = event.callbacks, None
-        for callback in callbacks:
-            callback(event)
-        return True
-
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
         if not self._heap:
@@ -674,31 +594,6 @@ class Environment:
         if not event._ok and not event._defused:
             # A failure nobody consumed: surface it.
             raise event._value
-        self._maybe_recycle(event, callbacks)
-
-    def _maybe_recycle(self, event: Event, callbacks: list) -> None:
-        """Return a fire-once process Timeout to the free list.
-
-        Only the dominant ``yield env.timeout(x)`` shape qualifies: the
-        exact Timeout type whose single callback is a parked process
-        (``poolable`` is set by :meth:`Process._resume` at park time,
-        and only when it was the first waiter).  Conditions and explicit
-        waiters keep references to the event (``processed``/``value``
-        stay readable), so they never recycle.  The callbacks list is
-        cleared and rides along with the pooled event, so reuse
-        allocates nothing.
-        """
-        if (
-            FASTPATH_ON
-            and type(event) is Timeout
-            and event.poolable
-            and len(callbacks) == 1
-            and len(self._timeout_pool) < _TIMEOUT_POOL_MAX
-        ):
-            event.poolable = False
-            callbacks.clear()
-            event.callbacks = callbacks
-            self._timeout_pool.append(event)
 
     def run(self, until: Any = None) -> Any:
         """Run until the schedule drains, a time, or an event fires.
@@ -727,13 +622,10 @@ class Environment:
                 )
 
         heap = self._heap
-        pool = self._timeout_pool
-        # Pool headroom doubles as the fast-path switch: 0 disables.
-        pool_room = _TIMEOUT_POOL_MAX if FASTPATH_ON else 0
 
         if stop_event is None and stop_time is None:
             # Drain fast path: the dominant mode — hoisted locals, no
-            # per-event step() dispatch, inline timeout recycling.
+            # per-event step() dispatch.
             while heap:
                 when, _prio, _seq, event = _heappop(heap)
                 self._now = when
@@ -744,11 +636,6 @@ class Environment:
                     # defused) waking one parked process — no iterator,
                     # no failure bookkeeping.
                     callbacks[0](event)
-                    if event.poolable and len(pool) < pool_room:
-                        event.poolable = False
-                        callbacks.clear()
-                        event.callbacks = callbacks
-                        pool.append(event)
                     continue
                 for callback in callbacks:
                     callback(event)
@@ -772,9 +659,7 @@ class Environment:
                 event.callbacks = None
                 for callback in callbacks:
                     callback(event)
-                if event._ok:
-                    self._maybe_recycle(event, callbacks)
-                elif not event._defused:
+                if not event._ok and not event._defused:
                     raise event._value
                 if stop_event is not None and stop_event.callbacks is None:
                     if stop_event._ok:
@@ -852,50 +737,6 @@ class Environment:
             return False
         cap = self._until_cap
         if cap is not None and target > cap:
-            return False
-        self._now = target
-        return True
-
-    def batch_window(self) -> bool:
-        """True iff a *batch window* is open: the engine can prove that
-        no other event could fire between now and any future clock
-        position reached by pure advances.
-
-        The window requires an **empty heap** (nothing at all is
-        scheduled, so no event can interleave at any future time), no
-        schedule-exploration policy, no ``run(until=<time>)`` cap, and
-        both the fast-path and batch switches on.  Inside an open window
-        a cohort of N homogeneous operations may be resolved in one
-        pass — one clock advance for the summed cost, pre-drawn RNG
-        samples, bulk metrics observes — because the granular path's
-        intermediate yields provably could not have run anything else
-        (DESIGN.md §17).  Callers must check the window *before*
-        consuming RNG draws for the cohort.
-        """
-        return (
-            FASTPATH_ON
-            and BATCH_ON
-            and self.scheduler is None
-            and not self._heap
-            and self._until_cap is None
-        )
-
-    def try_advance_batch(self, target: float) -> bool:
-        """Jump the clock to the **absolute** time ``target`` iff a
-        batch window is open (see :meth:`batch_window`).
-
-        This is the commit half of cohort resolution: the caller checks
-        :meth:`batch_window`, accumulates ``target`` from :attr:`now` by
-        adding each member's cost *in cohort order* (bit-identical to
-        the float sequence N granular :meth:`try_advance` calls would
-        have produced — summing the costs first and adding once would
-        not be, float addition being non-associative), then commits
-        here.  The empty-heap window guarantees each granular advance
-        would have succeeded, so the jump is provably equivalent.
-        Returns False (mutating nothing) when the window is closed or
-        ``target`` is in the past.
-        """
-        if target < self._now or not self.batch_window():
             return False
         self._now = target
         return True

@@ -192,35 +192,6 @@ class Store:
         self._dispatch()
         return item
 
-    def try_get_batch(self) -> Any:
-        """Guarded synchronous take for burst drains (DESIGN.md §17).
-
-        Returns the oldest item iff consuming it right now is provably
-        equivalent to ``yield self.get()``: fast-path *and* batch
-        switches on, no schedule-exploration policy, no competing
-        getters or blocked putters, an item present, and no heap event
-        due at the current time — under those conditions the granular
-        get's success event would have been the very next thing to
-        fire, so nothing else could have run in between.  Returns
-        ``None`` otherwise; the caller falls back to
-        ``yield self.get()``.
-        """
-        if (
-            not _core.FASTPATH_ON
-            or not _core.BATCH_ON
-            or self._getters
-            or self._putters
-            or not self.items
-        ):
-            return None
-        env = self.env
-        if env.scheduler is not None:
-            return None
-        heap = env._heap
-        if heap and heap[0][0] <= env._now:
-            return None
-        return self.items.popleft()
-
     def _dispatch(self) -> None:
         progress = True
         while progress:

@@ -1,11 +1,11 @@
 """Process-free remote reads leave every simulated result unchanged.
 
-With batching on, ``RamCloudStore`` / ``MemcachedStore`` settle an
-async read as one scheduled completion and the monitor's flat path
-takes it directly (DESIGN.md §17).  These pins run pmbench — and a
-prefetch burst forced into one step — with ``set_batch(False)`` (the
-driver process on every read) and on, and require byte-equal raw
-latency samples, counters and ``net.fabric`` RNG state.
+With the fast paths on, ``RamCloudStore`` / ``MemcachedStore`` settle
+an async read as one scheduled completion (DESIGN.md §17).  These pins
+run pmbench — and a prefetch burst forced into one step — with
+``set_fastpath(False)`` (the driver process on every read) and on, and
+require byte-equal raw latency samples, counters and ``net.fabric``
+RNG state.
 """
 
 import pytest
@@ -13,7 +13,7 @@ import pytest
 from repro.bench import build_platform
 from repro.core import FluidMemConfig
 from repro.kernel.uffd import UffdFault
-from repro.sim import set_batch
+from repro.sim import set_fastpath
 from repro.workloads import Pmbench, PmbenchConfig
 
 MEASURED = 1500
@@ -60,14 +60,14 @@ def snapshot(platform, result=None):
 
 
 def both_ways(run):
-    """``run()`` batch-off and batch-on; returns both outcomes."""
+    """``run()`` fast-path-off and on; returns both outcomes."""
     outcomes = {}
-    for batch in (False, True):
-        previous = set_batch(batch)
+    for fast in (False, True):
+        previous = set_fastpath(fast)
         try:
-            outcomes[batch] = run()
+            outcomes[fast] = run()
         finally:
-            set_batch(previous)
+            set_fastpath(previous)
     return outcomes[False], outcomes[True]
 
 

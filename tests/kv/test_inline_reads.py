@@ -2,8 +2,8 @@
 
 ``RamCloudStore`` and ``MemcachedStore`` settle a read as one scheduled
 completion when ``Fabric.inline_rpc`` proves that equal to the driver
-process.  Each test runs the same script with batching off (always the
-driver) and on, and requires identical timelines, values, counters and
+process.  Each test runs the same script with the fast paths off
+(always the driver) and on, and requires identical timelines, values, counters and
 ``net.fabric`` RNG state.
 """
 
@@ -17,7 +17,7 @@ from repro.kv import (
     RamCloudStore,
 )
 from repro.net import Fabric, IPOIB, RDMA_FDR
-from repro.sim import Environment, RandomStreams, set_batch
+from repro.sim import Environment, RandomStreams, set_fastpath
 
 KEYS = (11, 12, 13, 14)
 
@@ -43,24 +43,24 @@ def make_store(kind, seed=3):
 
 
 def run_both(kind, script):
-    """Run ``script(env, store, log)`` batch-off then batch-on."""
+    """Run ``script(env, store, log)`` fast-path-off then on."""
     outcomes = {}
-    for batch in (False, True):
-        previous = set_batch(batch)
+    for fast in (False, True):
+        previous = set_fastpath(fast)
         try:
             env, fabric, store = make_store(kind)
             log = []
             script(env, store, log)
             env.run()
         finally:
-            set_batch(previous)
-        outcomes[batch] = (
+            set_fastpath(previous)
+        outcomes[fast] = (
             log,
             env.now,
             store.counters.as_dict(),
             fabric._rng.getstate(),
         )
-        if batch:
+        if fast:
             counters = fabric.counters
     assert outcomes[True] == outcomes[False]
     return counters

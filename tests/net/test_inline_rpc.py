@@ -10,7 +10,7 @@ import pytest
 
 from repro.check.explorer import SCHEDULES
 from repro.net import Fabric, IPOIB, RDMA_FDR
-from repro.sim import Environment, RandomStreams, set_batch, set_fastpath
+from repro.sim import Environment, RandomStreams, set_fastpath
 
 
 def make_fabric(transport=RDMA_FDR, seed=11):
@@ -79,15 +79,6 @@ def test_rpc_queues_behind_an_inline_hold_like_behind_a_granular_one():
         env.run()
         results[mode] = (sorted(ends), fabric._rng.getstate())
     assert results["inline"] == results["granular"]
-
-
-def test_refuses_with_batch_switch_off():
-    env, fabric = make_fabric()
-    previous = set_batch(False)
-    try:
-        refused(fabric, env, "switch_off")
-    finally:
-        set_batch(previous)
 
 
 def test_refuses_with_fastpath_switch_off():

@@ -2,7 +2,7 @@
 
 import json
 
-from repro.obs.compare import compare_metrics, main
+from repro.obs.compare import compare_metrics, main, missing_from_current
 
 
 def _doc(p50=10.0, p99=20.0, count=100):
@@ -55,9 +55,45 @@ def test_sub_microsecond_latencies_are_ignored():
     assert compare_metrics(base, curr) == []
 
 
-def test_missing_histogram_in_current_is_skipped():
+HIST = "path_latency_us{path=sync_fetch,vm=vm0}"
+
+
+def test_missing_histogram_in_current_fails_the_gate(tmp_path, capsys):
     current = _doc()
     current["experiments"]["fig3"]["histograms"] = {}
+    assert missing_from_current(_doc(), current) == [f"fig3: {HIST}"]
+    baseline_path = tmp_path / "baseline.json"
+    current_path = tmp_path / "current.json"
+    baseline_path.write_text(json.dumps(_doc()))
+    current_path.write_text(json.dumps(current))
+    assert main([str(baseline_path), str(current_path)]) == 1
+    out = capsys.readouterr().out
+    assert "missing from the current run" in out and HIST in out
+
+
+def test_missing_experiment_in_current_fails_the_gate(tmp_path, capsys):
+    baseline = _doc()
+    baseline["experiments"]["market"] = baseline["experiments"]["fig3"]
+    assert missing_from_current(baseline, _doc()) == ["market"]
+    baseline_path = tmp_path / "baseline.json"
+    current_path = tmp_path / "current.json"
+    baseline_path.write_text(json.dumps(baseline))
+    current_path.write_text(json.dumps(_doc()))
+    assert main([str(baseline_path), str(current_path)]) == 1
+    assert "  market\n" in capsys.readouterr().out
+
+
+def test_missing_low_count_histogram_is_not_gated():
+    current = _doc()
+    current["experiments"]["fig3"]["histograms"] = {}
+    assert missing_from_current(_doc(count=10), current) == []
+
+
+def test_histogram_new_in_current_is_fine():
+    current = _doc()
+    histograms = current["experiments"]["fig3"]["histograms"]
+    histograms["new_latency_us"] = dict(histograms[HIST])
+    assert missing_from_current(_doc(), current) == []
     assert compare_metrics(_doc(), current) == []
 
 
@@ -81,8 +117,10 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main([str(baseline), str(current)]) == 1
     out = capsys.readouterr().out
     assert "regressed" in out
-    # The failure message documents how to refresh the baseline.
+    # The failure message documents how to refresh the baseline, with
+    # every experiment the CI job gates.
     assert "repro.bench" in out and "--metrics" in out
+    assert "fig3 table1 cluster market --quick" in out
 
 
 def test_cli_threshold_flag(tmp_path):

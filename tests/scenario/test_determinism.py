@@ -13,7 +13,7 @@ import os
 import pytest
 
 from repro.scenario.cli import main as scenario_main
-from repro.sim import set_batch
+from repro.sim import set_fastpath
 
 BASELINE = os.path.join(
     os.path.dirname(__file__), os.pardir, os.pardir,
@@ -55,15 +55,15 @@ def test_web_diurnal_matches_committed_baseline(tmp_path):
         )
 
 
-def test_web_diurnal_batch_off_matches_committed_baseline(tmp_path):
-    """The burst layer may not move a scenario report either: with
-    ``set_batch(False)`` the quick seed-42 run must still reproduce the
-    committed baseline byte-for-byte (DESIGN.md §17)."""
-    previous = set_batch(False)
+def test_web_diurnal_fastpath_off_matches_committed_baseline(tmp_path):
+    """The engine fast paths may not move a scenario report either: with
+    ``set_fastpath(False)`` the quick seed-42 run must still reproduce
+    the committed baseline byte-for-byte (DESIGN.md §17)."""
+    previous = set_fastpath(False)
     try:
-        report, _ = _run_report(tmp_path, "nobatch", "web-diurnal")
+        report, _ = _run_report(tmp_path, "nofastpath", "web-diurnal")
     finally:
-        set_batch(previous)
+        set_fastpath(previous)
     with open(BASELINE, "rb") as handle:
         assert report == handle.read()
 

@@ -1,225 +1,19 @@
-"""Unit contracts for the burst-resolution layer (DESIGN.md §17).
-
-``try_advance_batch`` / ``batch_window`` / ``Store.try_get_batch`` are
-the primitives the monitor's flat fault path stands on.  Every one of
-them must refuse to act — returning False/None and mutating nothing —
-unless it can prove equivalence to the granular path: both the
-fast-path and batch switches on, no schedule-exploration policy, and
-the heap shape that guarantees nothing else could have run.  The
+"""Unit contracts for the engine primitives the process-free paths
+stand on (DESIGN.md §17): ``Store.put_nowait``'s single-getter hand-off
+and ``Environment.timeout_at``'s exact absolute deadline.  The
 byte-identical ``--metrics`` pins live in
 ``tests/bench/test_wallclock_determinism.py``; these are the unit-level
-guards.
+contracts.
 """
 
 import pytest
 
-from repro.check.explorer import SCHEDULES
-from repro.sim import (
-    Environment,
-    Store,
-    batch_enabled,
-    set_batch,
-    set_fastpath,
-)
+from repro.sim import Environment, Store
 
 
 @pytest.fixture
 def env():
     return Environment()
-
-
-@pytest.fixture
-def no_batch():
-    previous = set_batch(False)
-    yield
-    set_batch(previous)
-
-
-@pytest.fixture
-def no_fastpath():
-    previous = set_fastpath(False)
-    yield
-    set_fastpath(previous)
-
-
-# -- the switch itself -------------------------------------------------------
-
-
-def test_set_batch_returns_previous_state():
-    first = set_batch(False)
-    try:
-        assert not batch_enabled()
-        assert set_batch(True) is False
-        assert batch_enabled()
-    finally:
-        set_batch(first)
-
-
-# -- batch_window ------------------------------------------------------------
-
-
-def test_batch_window_open_on_idle_env(env):
-    assert env.batch_window()
-
-
-def test_batch_window_closed_by_heap_entry(env):
-    env.timeout(5.0)
-    assert not env.batch_window()
-
-
-def test_batch_window_closed_by_batch_switch(env, no_batch):
-    assert not env.batch_window()
-
-
-def test_batch_window_closed_by_fastpath_switch(env, no_fastpath):
-    # BATCH_ON layers on FASTPATH_ON: disabling the fast paths
-    # disables batching too.
-    assert not env.batch_window()
-
-
-@pytest.mark.parametrize("name", sorted(SCHEDULES))
-def test_batch_window_closed_under_every_schedule_policy(env, name):
-    env.scheduler = SCHEDULES[name](seed=0)
-    assert not env.batch_window()
-
-
-def test_batch_window_closed_by_until_cap(env):
-    done = []
-
-    def prober():
-        done.append(env.batch_window())
-        yield env.timeout(1.0)
-
-    env.process(prober())
-    # Inside run(until=<time>) the cap is set, closing the window even
-    # though the heap is momentarily empty when the process starts.
-    env.run(until=10.0)
-    assert done == [False]
-
-
-# -- try_advance_batch -------------------------------------------------------
-
-
-def test_try_advance_batch_commits_absolute_target(env):
-    assert env.try_advance_batch(12.5)
-    assert env.now == 12.5
-    # Equal-to-now targets are legal (an empty cohort commits nothing).
-    assert env.try_advance_batch(12.5)
-    assert env.now == 12.5
-
-
-def test_try_advance_batch_refuses_backwards_target(env):
-    assert env.try_advance_batch(4.0)
-    assert not env.try_advance_batch(3.0)
-    assert env.now == 4.0
-
-
-def test_try_advance_batch_refuses_with_heap_entry(env):
-    # Even an entry *after* the target closes the window: the window
-    # proof requires an empty heap, not merely a far-away head.
-    env.timeout(100.0)
-    assert not env.try_advance_batch(1.0)
-    assert env.now == 0.0
-
-
-def test_try_advance_batch_refuses_when_batch_off(env, no_batch):
-    assert not env.try_advance_batch(1.0)
-    assert env.now == 0.0
-
-
-def test_try_advance_batch_refuses_when_fastpath_off(env, no_fastpath):
-    assert not env.try_advance_batch(1.0)
-    assert env.now == 0.0
-
-
-@pytest.mark.parametrize("name", sorted(SCHEDULES))
-def test_try_advance_batch_refuses_under_every_schedule_policy(env, name):
-    env.scheduler = SCHEDULES[name](seed=0)
-    assert not env.try_advance_batch(1.0)
-    assert env.now == 0.0
-
-
-def test_cohort_accumulation_matches_granular_advances(env):
-    """The absolute-target rule: accumulate in cohort order, commit
-    once — bit-identical to N granular try_advance calls."""
-    costs = [0.1, 0.2, 0.3, 0.07]
-    granular = Environment()
-    for cost in costs:
-        assert granular.try_advance(cost)
-    clock = env.now
-    for cost in costs:
-        clock += cost
-    assert env.try_advance_batch(clock)
-    # Bit-identical, not just approximately equal: the batch layer's
-    # whole contract is that --metrics bytes cannot move.
-    assert env.now == granular.now
-
-
-# -- Store.try_get_batch -----------------------------------------------------
-
-
-def test_try_get_batch_takes_fifo_order(env):
-    store = Store(env)
-    store.put_nowait("a")
-    store.put_nowait("b")
-    assert store.try_get_batch() == "a"
-    assert store.try_get_batch() == "b"
-    assert store.try_get_batch() is None  # empty
-
-
-def test_try_get_batch_refuses_with_competing_getter(env):
-    store = Store(env)
-    store.put_nowait("x")
-    # A pending getter with a predicate that matches nothing yet: the
-    # granular get would have to rendezvous through the event, so the
-    # synchronous take must refuse.
-    store.get(predicate=lambda item: False)
-    assert store.try_get_batch() is None
-
-
-def test_try_get_batch_refuses_with_blocked_putter(env):
-    store = Store(env, capacity=1)
-    store.put("first")
-    env.run()
-    store.put("blocked")  # over capacity: parks as a putter
-    assert store._putters
-    assert store.try_get_batch() is None
-
-
-def test_try_get_batch_refuses_with_due_heap_event(env):
-    store = Store(env)
-    store.put_nowait("x")
-    env.timeout(0.0)  # due *now*: would have fired before the get
-    assert store.try_get_batch() is None
-
-
-def test_try_get_batch_allows_future_heap_event(env):
-    store = Store(env)
-    store.put_nowait("x")
-    env.timeout(5.0)  # strictly later: the get's success fires first
-    assert store.try_get_batch() == "x"
-
-
-def test_try_get_batch_refuses_when_batch_off(env, no_batch):
-    store = Store(env)
-    store.put_nowait("x")
-    assert store.try_get_batch() is None
-    assert list(store.items) == ["x"]  # untouched
-
-
-def test_try_get_batch_refuses_when_fastpath_off(env, no_fastpath):
-    store = Store(env)
-    store.put_nowait("x")
-    assert store.try_get_batch() is None
-
-
-@pytest.mark.parametrize("name", sorted(SCHEDULES))
-def test_try_get_batch_refuses_under_every_schedule_policy(env, name):
-    store = Store(env)
-    store.put_nowait("x")
-    env.scheduler = SCHEDULES[name](seed=0)
-    assert store.try_get_batch() is None
-    assert list(store.items) == ["x"]
 
 
 # -- put_nowait single-getter hand-off ---------------------------------------
@@ -260,7 +54,7 @@ def test_put_nowait_hand_off_matches_general_dispatch(env):
     assert received == [("first", 1), ("second", 2)]
 
 
-# -- take_next / timeout_at --------------------------------------------------
+# -- timeout_at --------------------------------------------------------------
 
 
 def test_timeout_at_lands_on_the_exact_absolute_time(env):
@@ -276,59 +70,3 @@ def test_timeout_at_rejects_the_past(env):
     env.sync_to(2.0)
     with pytest.raises(Exception, match="in the past"):
         env.timeout_at(1.0)
-
-
-def test_take_next_fires_the_head_event_inline(env):
-    seen = []
-    event = env.timeout_at(3.5, "v")
-    event.callbacks.append(lambda e: seen.append((env.now, e.value)))
-    later = env.timeout(10.0)
-    assert env.take_next(event)
-    assert env.now == 3.5
-    assert seen == [(3.5, "v")]
-    assert event.processed and event.value == "v"
-    assert env._heap[0][3] is later
-
-
-def test_take_next_refuses_when_not_the_head(env):
-    env.timeout(1.0)
-    event = env.timeout_at(3.5, "v")
-    assert not env.take_next(event)
-    assert env.now == 0.0 and not event.processed
-
-
-def test_take_next_refuses_an_unscheduled_event(env):
-    assert not env.take_next(env.event())
-
-
-def test_take_next_refuses_when_batch_off(env, no_batch):
-    event = env.timeout_at(1.0)
-    assert not env.take_next(event)
-    assert not event.processed
-
-
-def test_take_next_refuses_when_fastpath_off(env, no_fastpath):
-    event = env.timeout_at(1.0)
-    assert not env.take_next(event)
-    assert not event.processed
-
-
-@pytest.mark.parametrize("name", sorted(SCHEDULES))
-def test_take_next_refuses_under_every_schedule_policy(env, name):
-    event = env.timeout_at(1.0)
-    env.scheduler = SCHEDULES[name](seed=0)
-    assert not env.take_next(event)
-    assert not event.processed
-
-
-def test_take_next_refuses_past_an_until_cap(env):
-    outcome = []
-
-    def prober():
-        event = env.timeout_at(50.0)
-        outcome.append(env.take_next(event))
-        yield env.timeout(1.0)
-
-    env.process(prober())
-    env.run(until=10.0)
-    assert outcome == [False]

@@ -1,5 +1,5 @@
-"""The engine fast paths: ``try_advance``, Timeout pooling, inline
-resource grants — and the invariants that keep them safe.
+"""The engine fast paths: ``try_advance``, inline timeout construction,
+inline resource grants — and the invariants that keep them safe.
 
 Every fast path here must be *invisible*: same simulated clock, same
 event outcomes, and automatic shutdown whenever a schedule-exploration
@@ -171,11 +171,11 @@ def test_set_fastpath_returns_previous_state():
         set_fastpath(original)
 
 
-# -- pooling and ordering safety ---------------------------------------------
+# -- ordering safety ---------------------------------------------------------
 
 
 def test_pooled_timeouts_preserve_interleaving(env):
-    """Recycled Timeout objects must not change event order."""
+    """Inline-built Timeouts from two processes fire in time order."""
     log = []
 
     def worker(env, name, delay):
