@@ -26,52 +26,58 @@ __all__ = ["ActiveInactiveLists"]
 
 
 class ActiveInactiveLists:
-    """Two-list page aging with referenced-bit second chance."""
+    """Two-list page aging with referenced-bit second chance.
+
+    ``active`` and ``inactive`` map vaddr to page, oldest first.  They
+    are public so a hot loop can test residency with a plain dict
+    lookup; callers must treat them as read-only and change the lists
+    only through the methods below.
+    """
 
     def __init__(self) -> None:
         # OrderedDict ends: popitem(last=False) == oldest (tail of LRU).
-        self._active: "OrderedDict[int, Page]" = OrderedDict()
-        self._inactive: "OrderedDict[int, Page]" = OrderedDict()
+        self.active: "OrderedDict[int, Page]" = OrderedDict()
+        self.inactive: "OrderedDict[int, Page]" = OrderedDict()
 
     # -- membership -----------------------------------------------------------
 
     def insert(self, page: Page) -> None:
         """A newly mapped page enters the inactive list (MRU end)."""
-        if page.vaddr in self._active or page.vaddr in self._inactive:
+        if page.vaddr in self.active or page.vaddr in self.inactive:
             raise KernelError(f"{page!r} is already on an LRU list")
-        self._inactive[page.vaddr] = page
+        self.inactive[page.vaddr] = page
 
     def insert_active(self, page: Page) -> None:
         """Workingset refault: a quickly refaulting page is activated
         immediately (Linux's mm/workingset.c shadow-entry logic)."""
-        if page.vaddr in self._active or page.vaddr in self._inactive:
+        if page.vaddr in self.active or page.vaddr in self.inactive:
             raise KernelError(f"{page!r} is already on an LRU list")
-        self._active[page.vaddr] = page
+        self.active[page.vaddr] = page
 
     def remove(self, page: Page) -> None:
         """Drop a page from whichever list holds it (unmap/free path)."""
-        if self._inactive.pop(page.vaddr, None) is None:
-            if self._active.pop(page.vaddr, None) is None:
+        if self.inactive.pop(page.vaddr, None) is None:
+            if self.active.pop(page.vaddr, None) is None:
                 raise KernelError(f"{page!r} is on no LRU list")
 
     def discard(self, page: Page) -> None:
         """Like :meth:`remove` but silent when absent."""
-        if self._inactive.pop(page.vaddr, None) is None:
-            self._active.pop(page.vaddr, None)
+        if self.inactive.pop(page.vaddr, None) is None:
+            self.active.pop(page.vaddr, None)
 
     def __contains__(self, page: Page) -> bool:
-        return page.vaddr in self._active or page.vaddr in self._inactive
+        return page.vaddr in self.active or page.vaddr in self.inactive
 
     @property
     def active_count(self) -> int:
-        return len(self._active)
+        return len(self.active)
 
     @property
     def inactive_count(self) -> int:
-        return len(self._inactive)
+        return len(self.inactive)
 
     def __len__(self) -> int:
-        return len(self._active) + len(self._inactive)
+        return len(self.active) + len(self.inactive)
 
     # -- reclaim --------------------------------------------------------------
 
@@ -90,29 +96,73 @@ class ActiveInactiveLists:
         """
         if count <= 0:
             raise KernelError(f"victim count must be positive, got {count}")
-        self._refill_inactive()
+        active = self.active
+        inactive = self.inactive
+        # Refill: each move shrinks the gap by two, so this many moves
+        # leave the inactive list at least as long as the active one.
+        for _ in range((len(active) - len(inactive) + 1) // 2):
+            vaddr, page = active.popitem(last=False)
+            page.referenced = False
+            inactive[vaddr] = page
         victims: List[Page] = []
-        scanned = 0
-        scan_limit = max(count * scan_limit_factor, count)
-        while (
-            self._inactive
-            and len(victims) < count
-            and scanned < scan_limit
-        ):
-            vaddr, page = self._inactive.popitem(last=False)
-            scanned += 1
-            if page.clear_referenced():
-                # Second chance: promote.
-                self._active[vaddr] = page
+        scan = min(len(inactive), max(count * scan_limit_factor, count))
+        for _ in range(scan):
+            vaddr, page = inactive.popitem(last=False)
+            if page.referenced:
+                # Second chance: clear the bit and promote.
+                page.referenced = False
+                active[vaddr] = page
                 continue
             victims.append(page)
+            if len(victims) == count:
+                break
         return victims
 
-    def _refill_inactive(self) -> None:
-        while self._active and len(self._inactive) < len(self._active):
-            vaddr, page = self._active.popitem(last=False)
-            page.clear_referenced()
-            self._inactive[vaddr] = page
+    def evict_to(self, target: int) -> List[Page]:
+        """Reclaim until at most ``target`` pages are on the lists.
+
+        Runs :meth:`select_victims` rounds for the whole excess until
+        the lists fit.  A round that frees nothing (every scanned page
+        was referenced and got promoted) is retried once with
+        ``scan_limit_factor=64``; if that frees nothing either, the
+        lists stay over ``target``.  Returns every victim in eviction
+        order.  This is the per-fault reclaim of the tick-level fleets,
+        so each round's refill and scan are inlined here rather than
+        called.
+        """
+        active = self.active
+        inactive = self.inactive
+        pop_active = active.popitem
+        pop_inactive = inactive.popitem
+        victims: List[Page] = []
+        append = victims.append
+        excess = len(active) + len(inactive) - target
+        factor = 4
+        while excess > 0:
+            for _ in range((len(active) - len(inactive) + 1) // 2):
+                vaddr, page = pop_active(last=False)
+                page.referenced = False
+                inactive[vaddr] = page
+            left = excess
+            for _ in range(min(len(inactive), excess * factor)):
+                vaddr, page = pop_inactive(last=False)
+                if page.referenced:
+                    page.referenced = False
+                    active[vaddr] = page
+                    continue
+                append(page)
+                left -= 1
+                if not left:
+                    break
+            if left < excess:
+                excess = left
+                factor = 4
+            elif factor == 64:
+                break
+            else:
+                # Every page got a second chance this scan; age harder.
+                factor = 64
+        return victims
 
     # -- working-set estimation (harvester hook) --------------------------------
 
@@ -122,7 +172,7 @@ class ActiveInactiveLists:
         Non-destructive (unlike :meth:`select_victims`' aging scan):
         the bits stay so reclaim still sees them.
         """
-        return sum(1 for page in self._inactive.values() if page.referenced)
+        return sum(1 for page in self.inactive.values() if page.referenced)
 
     def wss_estimate(self) -> int:
         """Working-set-size estimate from the page-access stats.
@@ -139,13 +189,13 @@ class ActiveInactiveLists:
     # -- introspection ----------------------------------------------------------
 
     def oldest_inactive(self) -> Optional[Page]:
-        if not self._inactive:
+        if not self.inactive:
             return None
-        vaddr = next(iter(self._inactive))
-        return self._inactive[vaddr]
+        vaddr = next(iter(self.inactive))
+        return self.inactive[vaddr]
 
     def __repr__(self) -> str:
         return (
-            f"<ActiveInactiveLists active={len(self._active)} "
-            f"inactive={len(self._inactive)}>"
+            f"<ActiveInactiveLists active={len(self.active)} "
+            f"inactive={len(self.inactive)}>"
         )

@@ -210,59 +210,74 @@ class MarketVM:
     def run_tick(self, qos: QosManager, throttle_us: float) -> None:
         """One tick of Zipfian accesses; faults feed the QoS window."""
         lists = self.lists
+        active = lists.active
+        inactive = lists.inactive
+        in_active = active.get
+        in_inactive = inactive.get
         pages = self.pages
+        remote = self.remote
+        capacity = self.capacity
         footprint = self.spec.footprint_pages
-        accesses = self.spec.accesses_per_tick * (2 if self.surging else 1)
-        for _ in range(accesses):
-            page_no = (
-                self.rng.randrange(footprint) if self.surging
-                else self.zipf.next() % footprint
-            )
-            vaddr = page_no * PAGE_SIZE
-            page = pages.get(vaddr)
-            if page is not None and page in lists:
-                page.read()
-                self.stats.hits += 1
+        tenant = self.spec.name
+        record_fault = qos.record_fault
+        remote_latency = REMOTE_FAULT_US + throttle_us
+        swap_latency = SWAP_FAULT_US + throttle_us
+        # Nothing else draws from this VM's RNG during a tick, so the
+        # whole tick's pages are drawn up front.
+        if self.surging:
+            randrange = self.rng.randrange
+            page_nos = [
+                randrange(footprint)
+                for _ in range(2 * self.spec.accesses_per_tick)
+            ]
+        else:
+            page_nos = self.zipf.next_many(self.spec.accesses_per_tick)
+        hits = faults = remote_hits = first_touches = swap_faults = 0
+        for page_no in page_nos:
+            vaddr = (page_no % footprint) * PAGE_SIZE
+            page = in_active(vaddr)
+            if page is None:
+                page = in_inactive(vaddr)
+            if page is not None:
+                page.referenced = True  # a load: Page.read()'s bit
+                hits += 1
                 continue
-            self.stats.faults += 1
-            if vaddr in self.remote:
-                del self.remote[vaddr]
-                latency = REMOTE_FAULT_US + throttle_us
-                self.stats.remote_hits += 1
+            faults += 1
+            page = pages.get(vaddr)
+            if vaddr in remote:
+                del remote[vaddr]
+                latency = remote_latency
+                remote_hits += 1
             elif page is None:
                 page = Page(vaddr)
                 pages[vaddr] = page
                 latency = FIRST_TOUCH_US
-                self.stats.first_touches += 1
+                first_touches += 1
             else:
-                latency = SWAP_FAULT_US + throttle_us
-                self.stats.swap_faults += 1
-            if len(lists) >= self.capacity:
+                latency = swap_latency
+                swap_faults += 1
+            if len(active) + len(inactive) >= capacity:
                 self._evict_to_capacity(headroom=1)
             lists.insert(page)
-            page.read()
-            qos.record_fault(self.spec.name, latency)
+            page.referenced = True
+            record_fault(tenant, latency)
+        stats = self.stats
+        stats.hits += hits
+        stats.faults += faults
+        stats.remote_hits += remote_hits
+        stats.first_touches += first_touches
+        stats.swap_faults += swap_faults
 
     def _evict_to_capacity(self, headroom: int = 0) -> int:
         """Evict via the kernel's second-chance scan until the resident
         set fits ``capacity - headroom``; victims spill to leased
         remote memory while the budget lasts, then to swap."""
-        target = max(0, self.capacity - headroom)
-        evicted = 0
-        while len(self.lists) > target:
-            victims = self.lists.select_victims(len(self.lists) - target)
-            if not victims:
-                # Every page got a second chance this scan; age harder.
-                victims = self.lists.select_victims(
-                    len(self.lists) - target, scan_limit_factor=64
-                )
-                if not victims:  # pragma: no cover - defensive
-                    break
-            for victim in victims:
-                if len(self.remote) < self.remote_budget:
-                    self.remote[victim.vaddr] = True
-                evicted += 1
-        return evicted
+        victims = self.lists.evict_to(max(0, self.capacity - headroom))
+        remote = self.remote
+        for victim in victims:
+            if len(remote) < self.remote_budget:
+                remote[victim.vaddr] = True
+        return len(victims)
 
     # -- lifecycle ----------------------------------------------------------------------
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import InvariantViolation
@@ -63,11 +64,11 @@ LATENCY_BUCKETS_US = (
 )
 
 
-def _bucket_index(latency_us: float) -> int:
-    for index, edge in enumerate(LATENCY_BUCKETS_US):
-        if latency_us <= edge:
-            return index
-    return len(LATENCY_BUCKETS_US) - 1
+#: Bisecting these edges maps a latency to its bucket: the first edge
+#: at or above it, with anything over the second-to-last edge landing
+#: in the last bucket.
+_BUCKET_SEARCH = LATENCY_BUCKETS_US[:-1]
+_FIRST_TOUCH_BUCKET = bisect_left(_BUCKET_SEARCH, FIRST_TOUCH_US)
 
 
 def histogram_percentile(counts: List[int], fraction: float) -> float:
@@ -160,24 +161,39 @@ class FleetVM:
 
     # -- pattern draws ------------------------------------------------------
 
-    def _next_page(self, tick: int) -> int:
+    def _draw_pages(self, count: int) -> List[int]:
+        """This tick's ``count`` page numbers, in access order.
+
+        Nothing else draws from the VM's RNG during a tick, so drawing
+        them all up front replays the per-access stream exactly.  The
+        Zipfian pattern takes one :meth:`ZipfianGenerator.next_many`
+        call; ``mixed`` interleaves a coin flip with each draw, so it
+        draws access by access.
+        """
         pattern = self.spec.pattern
         footprint = self.spec.footprint_pages
-        if self.surging:
-            return self.rng.randrange(footprint)
-        if pattern.kind == "zipfian":
-            return self.zipf.next() % footprint
-        if pattern.kind == "uniform":
-            return self.rng.randrange(footprint)
-        if pattern.kind == "mixed":
-            if self.rng.random() < pattern.zipf_fraction:
-                return self.zipf.next() % footprint
-            return self.rng.randrange(footprint)
+        kind = pattern.kind
+        if self.surging or kind == "uniform":
+            randrange = self.rng.randrange
+            return [randrange(footprint) for _ in range(count)]
+        if kind == "zipfian":
+            return [n % footprint for n in self.zipf.next_many(count)]
+        if kind == "mixed":
+            coin = self.rng.random
+            randrange = self.rng.randrange
+            zipf = self.zipf
+            fraction = pattern.zipf_fraction
+            return [
+                zipf.next() % footprint if coin() < fraction
+                else randrange(footprint)
+                for _ in range(count)
+            ]
         # sweep: a strided pass over the footprint, the ML-training
         # shape — every page is equally cold by the time it comes back.
-        page = self._sweep_pos
-        self._sweep_pos = (self._sweep_pos + pattern.stride) % footprint
-        return page
+        start = self._sweep_pos
+        stride = pattern.stride
+        self._sweep_pos = (start + count * stride) % footprint
+        return [(start + i * stride) % footprint for i in range(count)]
 
     def _load_multiplier(self, tick: int) -> float:
         load = self.spec.load
@@ -230,35 +246,48 @@ class FleetVM:
         if self._sweep_shuffle_due(tick):
             self._sweep_pos = self.rng.randrange(self.spec.footprint_pages)
         lists = self.lists
+        active = lists.active
+        inactive = lists.inactive
+        in_active = active.get
+        in_inactive = inactive.get
         pages = self.pages
         capacity = self.spec.capacity_pages
+        hits = first_touches = swap_faults = 0
         faults_this_tick = 0
-        for _ in range(accesses):
-            self.accesses += 1
-            vaddr = self._next_page(tick) * PAGE_SIZE
-            page = pages.get(vaddr)
-            if page is not None and page in lists:
-                page.read()
-                self.hits += 1
+        for page_no in self._draw_pages(accesses):
+            vaddr = page_no * PAGE_SIZE
+            page = in_active(vaddr)
+            if page is None:
+                page = in_inactive(vaddr)
+            if page is not None:
+                page.referenced = True  # a load: Page.read()'s bit
+                hits += 1
                 continue
-            self.faults += 1
-            queue = 1.0 + min(
-                _QUEUE_CAP, _QUEUE_SLOPE * faults_this_tick
-            )
-            faults_this_tick += 1
+            page = pages.get(vaddr)
             if page is None:
                 page = Page(vaddr)
                 pages[vaddr] = page
-                latency = FIRST_TOUCH_US
-                self.first_touches += 1
+                first_touches += 1
+                bucket = _FIRST_TOUCH_BUCKET
             else:
-                latency = SWAP_FAULT_US * queue
-                self.swap_faults += 1
-            if len(lists) >= capacity:
-                self._evict_to(capacity - 1)
+                queue = _QUEUE_SLOPE * faults_this_tick
+                if queue > _QUEUE_CAP:
+                    queue = _QUEUE_CAP
+                bucket = bisect_left(
+                    _BUCKET_SEARCH, SWAP_FAULT_US * (1.0 + queue)
+                )
+                swap_faults += 1
+            faults_this_tick += 1
+            if len(active) + len(inactive) >= capacity:
+                lists.evict_to(capacity - 1)
             lists.insert(page)
-            page.read()
-            histogram[_bucket_index(latency)] += 1
+            page.referenced = True
+            histogram[bucket] += 1
+        self.accesses += accesses
+        self.hits += hits
+        self.faults += faults_this_tick
+        self.first_touches += first_touches
+        self.swap_faults += swap_faults
         return faults_this_tick
 
     def _sweep_shuffle_due(self, tick: int) -> bool:
@@ -269,16 +298,6 @@ class FleetVM:
             and tick > 0
             and tick % pattern.shuffle_every_ticks == 0
         )
-
-    def _evict_to(self, target: int) -> None:
-        while len(self.lists) > target:
-            victims = self.lists.select_victims(len(self.lists) - target)
-            if not victims:
-                victims = self.lists.select_victims(
-                    len(self.lists) - target, scan_limit_factor=64
-                )
-                if not victims:  # pragma: no cover - defensive
-                    break
 
     # -- self-audit ---------------------------------------------------------
 

@@ -1,13 +1,11 @@
-"""Workloads: pmbench, Graph500, YCSB, MongoDB — all memory-traced."""
+"""Workloads: pmbench, Graph500, YCSB, MongoDB — all memory-traced.
+
+Graph500 is the only workload that needs numpy, so its names load on
+first use (module ``__getattr__``): importing this package, and every
+package that imports it, stays numpy-free.
+"""
 
 from .driver import HIT_COST_US, AccessDriver
-from .graph500 import (
-    Graph500,
-    Graph500Config,
-    Graph500Result,
-    KroneckerGraph,
-    generate_kronecker_edges,
-)
 from .io import FileReader, GuestCacheFileReader, KernelFileReader
 from .mongo import MongoConfig, MongoServer, WiredTigerCache
 from .pmbench import Pmbench, PmbenchConfig, PmbenchResult
@@ -44,3 +42,19 @@ __all__ = [
     "KernelFileReader",
     "GuestCacheFileReader",
 ]
+
+_GRAPH500_NAMES = frozenset((
+    "Graph500",
+    "Graph500Config",
+    "Graph500Result",
+    "KroneckerGraph",
+    "generate_kronecker_edges",
+))
+
+
+def __getattr__(name):
+    if name in _GRAPH500_NAMES:
+        from . import graph500
+
+        return getattr(graph500, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

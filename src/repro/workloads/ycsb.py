@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Generator, Optional
+from typing import Generator, List, Optional
 
 from ..errors import WorkloadError
 from ..sim import Environment, LatencyRecorder, TimeSeries
@@ -75,9 +75,12 @@ class ZipfianGenerator:
         self._alpha = 1.0 / (1.0 - theta)
         self._zetan = self._zeta(item_count, theta)
         self._zeta2 = self._zeta(2, theta)
-        self._eta = (1 - (2.0 / item_count) ** (1 - theta)) / (
-            1 - self._zeta2 / self._zetan
-        )
+        # With at most two items every draw lands on 0 or 1 before eta
+        # is read, and at two items its denominator is zero.
+        self._eta = 0.0 if item_count <= 2 else (
+            1 - (2.0 / item_count) ** (1 - theta)
+        ) / (1 - self._zeta2 / self._zetan)
+        self._one_cut = 1.0 + 0.5 ** theta
 
     @staticmethod
     def _zeta(n: int, theta: float) -> float:
@@ -88,12 +91,34 @@ class ZipfianGenerator:
         uz = u * self._zetan
         if uz < 1.0:
             return 0
-        if uz < 1.0 + 0.5 ** self.theta:
+        if uz < self._one_cut:
             return 1
         return int(
             self.item_count
             * (self._eta * u - self._eta + 1.0) ** self._alpha
         )
+
+    def next_many(self, n: int) -> List[int]:
+        """``n`` draws: equal to ``[self.next() for _ in range(n)]``,
+        leaving the RNG in the same state, in one call."""
+        random = self._rng.random
+        zetan = self._zetan
+        one_cut = self._one_cut
+        eta = self._eta
+        alpha = self._alpha
+        count = self.item_count
+        out: List[int] = []
+        append = out.append
+        for _ in range(n):
+            u = random()
+            uz = u * zetan
+            if uz < 1.0:
+                append(0)
+            elif uz < one_cut:
+                append(1)
+            else:
+                append(int(count * (eta * u - eta + 1.0) ** alpha))
+        return out
 
 
 class ScrambledZipfianGenerator:

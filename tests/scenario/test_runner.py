@@ -143,7 +143,9 @@ class TestFleetEngine:
         )
         vm = FleetVM("t-000", tenant, seed=1, ticks=4,
                      chaos=FleetChaosSpec())
-        draws = [vm._next_page(0) for _ in range(20)]
+        # Split over two ticks: the second continues where the first
+        # stopped.
+        draws = vm._draw_pages(13) + vm._draw_pages(7)
         assert draws[:16] == list(range(16))
         assert draws[16:] == [0, 1, 2, 3]  # wrapped
 

@@ -86,6 +86,25 @@ class TestZipfianProperties:
         ).most_common(1)[0][1]
         assert top >= flat
 
+    @pytest.mark.parametrize("items", (1, 2, 3, ITEMS))
+    @pytest.mark.parametrize("theta", (0.2, 0.5, 0.9, 0.99))
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_next_many_equals_repeated_next(self, seed, theta, items):
+        batched_rng, single_rng = random.Random(seed), random.Random(seed)
+        batched = ZipfianGenerator(items, batched_rng, theta=theta)
+        single = ZipfianGenerator(items, single_rng, theta=theta)
+        for n in (0, 1, 37, 1_000):
+            assert batched.next_many(n) == [single.next() for _ in range(n)]
+            assert batched_rng.getstate() == single_rng.getstate()
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_two_items_draw_only_zero_and_one(self, seed):
+        """Two items once divided by zero computing eta."""
+        draws = _draw(ZipfianGenerator(2, random.Random(seed)), 2_000)
+        assert set(draws) == {0, 1}
+        scrambled = _draw(ScrambledZipfianGenerator(2, random.Random(seed)))
+        assert set(scrambled) <= {0, 1}
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(WorkloadError):
             ZipfianGenerator(0, random.Random(1))
