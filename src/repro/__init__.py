@@ -14,12 +14,11 @@ Quick start::
     # platform.vm / platform.port / platform.monitor are live objects.
 """
 
-from . import blockdev, coord, core, faults, kernel, kv, mem, net, obs, \
-    sim, vm
+import importlib
+
 from ._version import __version__
 
-__all__ = [
-    "__version__",
+_SUBPACKAGES = (
     "sim",
     "mem",
     "net",
@@ -31,4 +30,14 @@ __all__ = [
     "vm",
     "core",
     "obs",
-]
+)
+
+__all__ = ["__version__", *_SUBPACKAGES]
+
+
+def __getattr__(name):
+    # Subpackages load on first attribute access, so a bare
+    # ``import repro`` pulls in nothing but the version string.
+    if name in _SUBPACKAGES:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

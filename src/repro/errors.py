@@ -190,8 +190,7 @@ class ParallelError(ReproError):
     """Errors from the multiprocess execution layer (``repro.parallel``).
 
     Raised when a worker process crashes more times than the retry
-    budget allows, when a fleet partition dies mid-run, or when the
-    coordinator/worker protocol is violated.
+    budget allows, or when a task raises.
     """
 
 

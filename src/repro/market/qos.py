@@ -150,26 +150,8 @@ class QosManager:
 
         Returns the per-tenant windowed p99 map (tenants with no
         faults this window are absent — no faults cannot violate a
-        fault-latency SLO).
-
-        Split into :meth:`close_windows` (per-tenant, shardable) and
-        :meth:`apply_throttle_decision` (fleet-global) so a partitioned
-        runner can evaluate local tenants in each shard, combine the
-        protected-violating verdicts, and replay the identical throttle
-        trajectory everywhere.
-        """
-        p99s, protected_violating = self.close_windows()
-        self.apply_throttle_decision(protected_violating)
-        self.p99_history.append(dict(p99s))
-        return p99s
-
-    def close_windows(self) -> "tuple[Dict[str, float], bool]":
-        """Phase 1 of :meth:`evaluate`: per-tenant p99s and violations.
-
-        Touches only per-tenant state (windows, violation counts, the
-        per-tenant ``slo_violations`` counter); the one fleet-wide
-        output — whether any protected tenant violated — is *returned*,
-        not applied, so shards can vote before the throttle moves.
+        fault-latency SLO).  The spot throttle doubles while any
+        protected tenant violates its SLO and halves otherwise.
         """
         self.windows_evaluated += 1
         p99s: Dict[str, float] = {}
@@ -195,14 +177,6 @@ class QosManager:
                         "slo_violations", tenant=tenant
                     ).inc()
             self._window[tenant] = []
-        return p99s, protected_violating
-
-    def apply_throttle_decision(self, protected_violating: bool) -> None:
-        """Phase 2 of :meth:`evaluate`: the global throttle update.
-
-        ``protected_violating`` must be the OR across *every* tenant in
-        the fleet (all shards), or throttle trajectories diverge.
-        """
         if protected_violating:
             self._throttle_us = min(
                 self.MAX_THROTTLE_US,
@@ -218,6 +192,8 @@ class QosManager:
             self.obs.registry.gauge("qos_spot_throttle_us").set(
                 self._throttle_us
             )
+        self.p99_history.append(dict(p99s))
+        return p99s
 
     def total_violations(self) -> int:
         return sum(self.violation_counts.values())

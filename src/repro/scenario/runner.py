@@ -11,16 +11,16 @@ Each scenario kind maps onto an existing engine:
 ``cluster``
     :func:`repro.bench.cluster_scaleout.run_cluster`.
 ``market``
-    :func:`repro.bench.market_fleet.run_market` (``--partitions``
-    shards the fleet; the broker's invariant audit always runs).
+    :func:`repro.bench.market_fleet.run_market` (the broker's invariant
+    audit always runs).
 ``fleet``
     the scenario-owned engine in :mod:`repro.scenario.workloads`,
     fanned out over :func:`repro.parallel.run_tasks` (``--workers``).
 
 The outcome's ``report`` is the ``repro-scenario-metrics/1`` document:
 scenario identity, flat KPIs, and per-group breakdowns.  Nothing in it
-depends on wall-clock time, worker count, or partition count — that is
-the byte-identity contract the tests pin.
+depends on wall-clock time or worker count — that is the byte-identity
+contract the tests pin.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..core import FluidMemConfig
+from ..errors import ScenarioError
 from ..obs import NULL_OBS, EventTracer, Observability
 from ..parallel import run_tasks
 from .schema import REPORT_SCHEMA, Scenario
@@ -188,9 +189,7 @@ def _run_cluster(
 # market
 # ---------------------------------------------------------------------------
 
-def _run_market(
-    scenario: Scenario, quick: bool, partitions: int
-) -> Dict[str, object]:
+def _run_market(scenario: Scenario, quick: bool) -> Dict[str, object]:
     from ..bench.market_fleet import run_market
 
     spec = scenario.market
@@ -199,7 +198,6 @@ def _run_market(
         ticks=spec.quick_ticks if quick else spec.ticks,
         seed=scenario.seed,
         chaos=spec.chaos,
-        partitions=partitions,
     )
     report = _base_report(scenario, quick)
     report["kpis"] = {
@@ -354,9 +352,16 @@ def run_scenario(
     """Run one scenario and assemble its KPI report.
 
     ``workers`` parallelizes ``fleet`` scenarios over the process pool;
-    ``partitions`` shards ``market`` scenarios.  Both are execution
-    details: the report is byte-identical at any value.
+    it is an execution detail: the report is byte-identical at any
+    value.  ``partitions`` is kept only because the repository
+    benchmark (``e2ebench/workloads.py``) passes ``partitions=1``; any
+    other value raises :class:`~repro.errors.ScenarioError`.
     """
+    if partitions != 1:
+        raise ScenarioError(
+            f"partitions={partitions!r}: scenarios run one market loop; "
+            "only partitions=1 is accepted"
+        )
     from ..bench.platform import (
         default_observability,
         set_default_observability,
@@ -380,7 +385,7 @@ def run_scenario(
         elif scenario.kind == "cluster":
             report = _run_cluster(scenario, quick)
         elif scenario.kind == "market":
-            report = _run_market(scenario, quick, partitions)
+            report = _run_market(scenario, quick)
         else:
             report = _run_fleet(scenario, quick, workers, tracer)
     finally:

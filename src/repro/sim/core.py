@@ -694,28 +694,6 @@ class Environment:
             )
         self._now = target
 
-    def sync_to(self, time: float) -> None:
-        """Set the clock to the **absolute** time ``time`` (µs).
-
-        The synchronization primitive of the sharded fleet runner
-        (``repro.parallel.fleet``): after a barrier, every partition's
-        environment is snapped to the coordinator's clock so the next
-        window starts from bit-identical ``now`` values.  Like
-        :meth:`advance`, it is only legal when the jump skips no
-        scheduled event; going backwards is never legal.
-        """
-        if time < self._now:
-            raise SimulationError(
-                f"sync_to({time}) would move the clock backwards "
-                f"from {self._now}"
-            )
-        if self._heap and self._heap[0][0] < time:
-            raise SimulationError(
-                "sync_to() would jump over a scheduled event; "
-                "run() to that point instead"
-            )
-        self._now = time
-
     def try_advance(self, delta: float) -> bool:
         """Bump the clock by ``delta`` iff it is provably equivalent to
         ``yield env.timeout(delta)`` for the calling process.

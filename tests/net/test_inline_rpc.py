@@ -38,7 +38,7 @@ def test_completion_matches_a_spawned_rpc_bit_for_bit(transport, start):
     env, fabric = make_fabric(transport)
     twin_env, twin = make_fabric(transport)
     for e in (env, twin_env):
-        e.sync_to(start)
+        e.advance(start)
     done = fabric.inline_rpc("hypervisor", "server", 64, 4128, 1.8)
     twin_env.process(twin.rpc("hypervisor", "server", 64, 4128, 1.8))
     twin_env.run()

@@ -250,3 +250,9 @@ class TestRunScenario:
     def test_invalid_scenario_never_reaches_the_runner(self):
         with pytest.raises(ScenarioError):
             validate_document(_fleet_doc(workload={"tenants": []}))
+
+    def test_partitions_other_than_one_raise(self):
+        scenario = validate_document(_fleet_doc())
+        assert run_scenario(scenario, quick=True, partitions=1).kpis
+        with pytest.raises(ScenarioError, match="partitions=2"):
+            run_scenario(scenario, quick=True, partitions=2)

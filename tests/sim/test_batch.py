@@ -58,7 +58,7 @@ def test_put_nowait_hand_off_matches_general_dispatch(env):
 
 
 def test_timeout_at_lands_on_the_exact_absolute_time(env):
-    env.sync_to(0.1)
+    env.advance(0.1)
     when = 0.1 + 0.2
     fired = []
     env.timeout_at(when).callbacks.append(lambda _e: fired.append(env.now))
@@ -67,6 +67,6 @@ def test_timeout_at_lands_on_the_exact_absolute_time(env):
 
 
 def test_timeout_at_rejects_the_past(env):
-    env.sync_to(2.0)
+    env.advance(2.0)
     with pytest.raises(Exception, match="in the past"):
         env.timeout_at(1.0)
