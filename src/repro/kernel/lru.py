@@ -38,6 +38,8 @@ class ActiveInactiveLists:
         # OrderedDict ends: popitem(last=False) == oldest (tail of LRU).
         self.active: "OrderedDict[int, Page]" = OrderedDict()
         self.inactive: "OrderedDict[int, Page]" = OrderedDict()
+        #: Pages the last :meth:`evict_to` call could not free.
+        self.shortfall = 0
 
     # -- membership -----------------------------------------------------------
 
@@ -125,10 +127,10 @@ class ActiveInactiveLists:
         the lists fit.  A round that frees nothing (every scanned page
         was referenced and got promoted) is retried once with
         ``scan_limit_factor=64``; if that frees nothing either, the
-        lists stay over ``target``.  Returns every victim in eviction
-        order.  This is the per-fault reclaim of the tick-level fleets,
-        so each round's refill and scan are inlined here rather than
-        called.
+        lists stay over ``target`` by ``shortfall`` pages.  Returns
+        every victim in eviction order.  This is the per-fault reclaim
+        of the tick-level fleets, so each round's refill and scan are
+        inlined here rather than called.
         """
         active = self.active
         inactive = self.inactive
@@ -162,6 +164,7 @@ class ActiveInactiveLists:
             else:
                 # Every page got a second chance this scan; age harder.
                 factor = 64
+        self.shortfall = max(excess, 0)
         return victims
 
     # -- working-set estimation (harvester hook) --------------------------------

@@ -8,22 +8,26 @@ hundreds of full FluidMem monitor stacks would drown the signal in
 setup cost, so this module models each VM at exactly the fidelity the
 market sees:
 
-* **Residency and aging are real.**  Every :class:`MarketVM` keeps its
-  resident pages on a genuine kernel
-  :class:`~repro.kernel.ActiveInactiveLists` — accesses set referenced
-  bits, eviction uses the two-list second-chance scan, and the
-  harvester's WSS estimate is the same
-  :meth:`~repro.kernel.ActiveInactiveLists.wss_estimate` page-access
-  statistic a real guest would export.
+* **The VM is the shared fleet VM core.**  Every :class:`MarketVM`
+  is a :class:`~repro.workloads.fleet.FleetVMCore`: residency on a
+  genuine kernel :class:`~repro.kernel.ActiveInactiveLists`, victims
+  spilled to leased remote memory while the budget lasts, one access
+  loop that classifies each fault, one counter record and crash/surge
+  state machine — the same VM the ``fleet`` scenario kind runs.  This
+  module adds only the market's side: the harvester-target protocol
+  (the WSS estimate is the kernel's page-access statistic a real guest
+  would export), the lease budget, the access draws and the latency
+  model.
 * **Access patterns are YCSB-shaped.**  Each VM draws page numbers
   from its own seeded :class:`~repro.workloads.ycsb.ZipfianGenerator`
   (hot head, long tail), so working sets emerge from the workload
   rather than being declared.
 * **Faults are charged, not simulated page-by-page.**  A miss costs a
-  modeled latency (first touch < remote lease < swap) recorded into
-  the per-tenant QoS window; simulated time advances once per fleet
-  tick.  Two same-seed runs replay identical access streams in
-  identical order, fast paths on or off.
+  modeled latency (first touch < remote lease < swap, plus any spot
+  throttle on the latter two) recorded into the per-tenant QoS
+  window; simulated time advances once per fleet tick.  Two same-seed
+  runs replay identical access streams in identical order, fast paths
+  on or off.
 
 Chaos rides in on a standard :class:`~repro.faults.FaultPlan` under a
 fleet convention: a **CRASH** window on node ``<vm-name>`` is a
@@ -36,16 +40,14 @@ doubles, so its fault rate spikes: the give-back trigger).
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Generator, List, Optional
 
 from ..errors import MarketError
 from ..faults import FaultPlan
-from ..kernel import ActiveInactiveLists
-from ..mem import PAGE_SIZE, Page
 from ..obs import NULL_OBS, Observability
 from ..sim import Environment, RandomStreams
+from ..workloads.fleet import FleetVMCore
 from ..workloads.ycsb import ZipfianGenerator
 from .broker import Broker
 from .harvester import HarvestConfig, Harvester
@@ -112,23 +114,13 @@ class TenantSpec:
             raise MarketError("footprint must be >= capacity")
 
 
-@dataclass
-class _VmStats:
-    hits: int = 0
-    faults: int = 0
-    first_touches: int = 0
-    remote_hits: int = 0
-    swap_faults: int = 0
-    deaths: int = 0
-    extra: Dict[str, int] = field(default_factory=dict)
+class MarketVM(FleetVMCore):
+    """One market VM: the fleet VM core plus the market's side of it.
 
-
-class MarketVM:
-    """One fleet VM: Zipfian accesses over a real aging LRU.
-
-    Also implements the harvester-target protocol (``capacity``,
+    Adds the harvester-target protocol (``capacity``,
     ``wss_estimate``, ``fault_count``, ``harvest``, ``give_back``), so
-    producer VMs plug straight into :class:`~repro.market.Harvester`.
+    producer VMs plug straight into :class:`~repro.market.Harvester`,
+    and the consumer's lease budget.
     """
 
     def __init__(
@@ -138,24 +130,12 @@ class MarketVM:
         spec: TenantSpec,
         rng,
     ) -> None:
+        super().__init__(name, spec.footprint_pages, spec.capacity_pages, rng)
         self.env = env
-        self.name = name
         self.spec = spec
-        self.capacity = spec.capacity_pages
-        self.lists = ActiveInactiveLists()
-        self.pages: Dict[int, Page] = {}
-        #: Pages held in leased remote memory (FIFO for demotion).
-        self.remote: "OrderedDict[int, bool]" = OrderedDict()
-        self.remote_budget = 0
-        self.rng = rng
         self.zipf = ZipfianGenerator(
             spec.footprint_pages, rng, theta=spec.theta
         )
-        #: True while a surge window covers ``surge:<name>`` — the
-        #: working set expands to the whole footprint (uniform draws).
-        self.surging = False
-        self.dead = False
-        self.stats = _VmStats()
         self.harvested_pages = 0
 
     # -- harvester-target protocol -------------------------------------------------
@@ -167,13 +147,14 @@ class MarketVM:
         return self.stats.faults
 
     def harvest(self, pages: int) -> Generator:
-        """Shrink the local budget; evicted pages fall to swap."""
+        """Shrink the local budget; evicted pages fall to swap (only
+        producers are harvested, and they hold no lease budget)."""
         taken = min(pages, self.capacity - _MIN_CAPACITY_PAGES)
         if taken <= 0:
             yield self.env.timeout(1.0)
             return 0
         self.capacity -= taken
-        evicted = self._evict_to_capacity()
+        evicted = len(self.lists.evict_to(self.capacity))
         self.harvested_pages += taken
         yield self.env.timeout(1.0 + _EVICT_US_PER_PAGE * evicted)
         return taken
@@ -201,96 +182,35 @@ class MarketVM:
             - self.capacity - self.remote_budget,
         )
 
-    # -- the access loop --------------------------------------------------------------
+    # -- one tick ---------------------------------------------------------------------
 
     def run_tick(self, qos: QosManager, throttle_us: float) -> None:
-        """One tick of Zipfian accesses; faults feed the QoS window."""
-        lists = self.lists
-        active = lists.active
-        inactive = lists.inactive
-        in_active = active.get
-        in_inactive = inactive.get
-        pages = self.pages
-        remote = self.remote
-        capacity = self.capacity
-        footprint = self.spec.footprint_pages
-        tenant = self.spec.name
-        record_fault = qos.record_fault
-        remote_latency = REMOTE_FAULT_US + throttle_us
-        swap_latency = SWAP_FAULT_US + throttle_us
+        """One tick of Zipfian (or surge) accesses; its faults' modeled
+        latencies feed the QoS window."""
         # Nothing else draws from this VM's RNG during a tick, so the
         # whole tick's pages are drawn up front.
         if self.surging:
-            randrange = self.rng.randrange
-            page_nos = [
-                randrange(footprint)
-                for _ in range(2 * self.spec.accesses_per_tick)
-            ]
+            page_nos = self.draw_uniform(2 * self.spec.accesses_per_tick)
         else:
             page_nos = self.zipf.next_many(self.spec.accesses_per_tick)
-        hits = faults = remote_hits = first_touches = swap_faults = 0
-        for page_no in page_nos:
-            vaddr = (page_no % footprint) * PAGE_SIZE
-            page = in_active(vaddr)
-            if page is None:
-                page = in_inactive(vaddr)
-            if page is not None:
-                page.referenced = True  # a load: Page.read()'s bit
-                hits += 1
-                continue
-            faults += 1
-            page = pages.get(vaddr)
-            if vaddr in remote:
-                del remote[vaddr]
-                latency = remote_latency
-                remote_hits += 1
-            elif page is None:
-                page = Page(vaddr)
-                pages[vaddr] = page
-                latency = FIRST_TOUCH_US
-                first_touches += 1
-            else:
-                latency = swap_latency
-                swap_faults += 1
-            if len(active) + len(inactive) >= capacity:
-                self._evict_to_capacity(headroom=1)
-            lists.insert(page)
-            page.referenced = True
-            record_fault(tenant, latency)
-        stats = self.stats
-        stats.hits += hits
-        stats.faults += faults
-        stats.remote_hits += remote_hits
-        stats.first_touches += first_touches
-        stats.swap_faults += swap_faults
-
-    def _evict_to_capacity(self, headroom: int = 0) -> int:
-        """Evict via the kernel's second-chance scan until the resident
-        set fits ``capacity - headroom``; victims spill to leased
-        remote memory while the budget lasts, then to swap."""
-        victims = self.lists.evict_to(max(0, self.capacity - headroom))
-        remote = self.remote
-        for victim in victims:
-            if len(remote) < self.remote_budget:
-                remote[victim.vaddr] = True
-        return len(victims)
+        # Indexed by the core's fault kind; the throttle delays only
+        # faults that leave the VM.
+        latency = (
+            FIRST_TOUCH_US,
+            REMOTE_FAULT_US + throttle_us,
+            SWAP_FAULT_US + throttle_us,
+        )
+        qos.record_faults(
+            self.spec.name, [latency[kind] for kind in self.access(page_nos)]
+        )
 
     # -- lifecycle ----------------------------------------------------------------------
 
     def crash(self) -> None:
-        """Fail-stop: residency, leases, and harvested state all gone."""
-        self.dead = True
-        self.stats.deaths += 1
-        self.lists = ActiveInactiveLists()
-        self.pages.clear()
-        self.remote.clear()
-        self.remote_budget = 0
+        """Fail-stop; harvested state goes with residency and leases."""
+        super().crash()
         self.capacity = self.spec.capacity_pages
         self.harvested_pages = 0
-
-    def reboot(self) -> None:
-        """Come back cold: same spec, empty memory, faults ahead."""
-        self.dead = False
 
     def __repr__(self) -> str:
         state = "dead" if self.dead else "alive"
@@ -357,28 +277,31 @@ class MarketFleet:
     def _apply_chaos(self) -> None:
         """One tick of the fleet chaos convention, in VM order.
 
-        CRASH windows fail-stop the VM and tear down its leases;
-        ``surge:<name>`` SLOW windows toggle the demand surge.  A
-        crashed producer's harvester gets its fault baseline re-synced
-        so the post-reboot rate estimate is not negative.
+        Each VM's core takes this tick's (crashed, surging) from the
+        fault plan: CRASH windows fail-stop the VM, and the broker tears
+        down its leases; ``surge:<name>`` SLOW windows toggle the demand
+        surge.
         """
         plan = self.fault_plan
         if plan is None:
             return
         now = self.env.now
         for vm in self.vms:
-            crashed = plan.is_crashed(vm.name, now)
-            if crashed and not vm.dead:
-                vm.crash()
+            transitions = vm.chaos_step(
+                plan.is_crashed(vm.name, now),
+                plan.extra_latency_us(f"surge:{vm.name}", now) > 0,
+            )
+            if "crash" in transitions:
                 self.broker.vm_died(vm.name)
+                # Restart the harvester's fault-rate baseline at the
+                # crash: the faults between its last harvest tick and
+                # the crash drop out of its next rate sample.
                 harvester = self.harvesters.get(vm.name)
                 if harvester is not None:
                     harvester._last_faults = vm.stats.faults
                 self.counters.incr("vm_crashes")
-            elif not crashed and vm.dead:
-                vm.reboot()
+            elif "reboot" in transitions:
                 self.counters.incr("vm_reboots")
-            vm.surging = plan.extra_latency_us(f"surge:{vm.name}", now) > 0
 
     # -- market round -----------------------------------------------------------------
 
@@ -439,8 +362,7 @@ class MarketFleet:
             for vm in self.vms:
                 if vm.dead:
                     continue
-                throttle = self.qos.throttle_delay_us(vm.spec.name)
-                vm.run_tick(self.qos, throttle)
+                vm.run_tick(self.qos, self.qos.throttle_delay_us(vm.spec.name))
             if (tick + 1) % market_every == 0:
                 yield from self._market_step()
                 if check_on:
@@ -456,6 +378,8 @@ class MarketFleet:
                 vm.set_remote_budget(0)
         if check_on:
             check.check_steady_state(broker=self.broker)
+            for vm in self.vms:
+                vm.audit()
 
     # -- reporting ----------------------------------------------------------------------
 

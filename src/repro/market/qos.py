@@ -125,16 +125,18 @@ class QosManager:
 
     # -- sample ingestion ----------------------------------------------------------
 
-    def record_fault(self, tenant: str, latency_us: float) -> None:
-        """One page fault completed for ``tenant`` at ``latency_us``."""
+    def record_faults(self, tenant: str, latencies: List[float]) -> None:
+        """Page faults completed for ``tenant``, at ``latencies`` (µs)."""
         window = self._window.get(tenant)
         if window is None:
             return
-        window.append(latency_us)
+        window.extend(latencies)
         if self._obs_on:
-            self.obs.registry.histogram(
+            observe = self.obs.registry.histogram(
                 "tenant_fault_latency_us", tenant=tenant
-            ).observe(latency_us)
+            ).observe
+            for latency_us in latencies:
+                observe(latency_us)
 
     def throttle_delay_us(self, tenant: str) -> float:
         """Extra delay charged to this tenant's next remote fault."""

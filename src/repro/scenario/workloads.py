@@ -4,10 +4,13 @@ The ``fleet`` scenario kind runs a fleet of lightweight VMs whose
 access pattern (Zipfian / uniform / sweep / mixed), load profile
 (constant / diurnal with spikes), and chaos (seeded crash and surge
 windows) all come from the scenario document — no per-workload Python.
-Each VM keeps its resident pages on a real kernel
-:class:`~repro.kernel.ActiveInactiveLists` (the same aging mechanism
-:mod:`repro.market` fleets use), so hit rates emerge from second-chance
-reclaim rather than being declared.
+Each :class:`FleetVM` is the fleet VM core
+(:class:`~repro.workloads.fleet.FleetVMCore`, the VM :mod:`repro.market`
+fleets run too) with a zero lease budget: residency on a real kernel
+:class:`~repro.kernel.ActiveInactiveLists`, one access loop, one
+counter record, one crash/surge state machine and its audit.  This
+module adds only the pattern draws, the load curve, the name-derived
+chaos windows and the queueing latency buckets.
 
 Determinism is the contract.  A VM's RNG is derived from its *name*
 (``derive_seed(seed, "vm:<name>")``), its chaos windows from
@@ -25,10 +28,8 @@ import random
 from bisect import bisect_left
 from typing import Dict, List, Optional, Tuple
 
-from ..errors import InvariantViolation
-from ..kernel import ActiveInactiveLists
-from ..mem import PAGE_SIZE, Page
 from ..sim import derive_seed
+from ..workloads.fleet import FIRST_TOUCH, SWAP_FAULT, FleetVMCore
 from ..workloads.ycsb import ZipfianGenerator
 from .schema import FleetChaosSpec, FleetSpec, FleetTenantSpec
 
@@ -69,6 +70,34 @@ LATENCY_BUCKETS_US = (
 #: in the last bucket.
 _BUCKET_SEARCH = LATENCY_BUCKETS_US[:-1]
 _FIRST_TOUCH_BUCKET = bisect_left(_BUCKET_SEARCH, FIRST_TOUCH_US)
+
+
+def _swap_bucket_runs() -> Tuple[Tuple[slice, int], ...]:
+    """(fault indices, bucket) runs for a tick's swap faults.
+
+    A tick's ``i``-th fault, when it is a swap fault, queues behind the
+    ``i`` faults before it, so its bucket depends only on ``i``; past
+    the queueing cap it stops changing, and the last run is open-ended.
+    """
+    runs: List[Tuple[slice, int]] = []
+    for i in range(int(_QUEUE_CAP / _QUEUE_SLOPE) + 2):
+        queue = min(_QUEUE_SLOPE * i, _QUEUE_CAP)
+        bucket = bisect_left(_BUCKET_SEARCH, SWAP_FAULT_US * (1.0 + queue))
+        if runs and runs[-1][1] == bucket:
+            continue
+        if runs:  # a new bucket closes the previous run at i
+            runs[-1] = (slice(runs[-1][0].start, i), runs[-1][1])
+        runs.append((slice(i, None), bucket))
+    return tuple(runs)
+
+
+_SWAP_BUCKET_RUNS = _swap_bucket_runs()
+
+#: Per-VM counters summed into each tenant's row, in report order.
+_TENANT_COUNTERS = (
+    "accesses", "hits", "faults", "first_touches", "swap_faults",
+    "deaths", "surge_ticks",
+)
 
 
 def histogram_percentile(counts: List[int], fraction: float) -> float:
@@ -122,8 +151,9 @@ def _covers(window: Optional[Tuple[int, int]], tick: int) -> bool:
 # The VM
 # ---------------------------------------------------------------------------
 
-class FleetVM:
-    """One scenario-fleet VM: declared pattern over a real aging LRU."""
+class FleetVM(FleetVMCore):
+    """One scenario-fleet VM: the fleet VM core with a zero lease
+    budget, driven by its declared pattern, load and chaos windows."""
 
     def __init__(
         self,
@@ -133,13 +163,9 @@ class FleetVM:
         ticks: int,
         chaos: FleetChaosSpec,
     ) -> None:
-        self.name = name
+        rng = random.Random(derive_seed(seed, f"vm:{name}"))
+        super().__init__(name, spec.footprint_pages, spec.capacity_pages, rng)
         self.spec = spec
-        self.rng = random.Random(derive_seed(seed, f"vm:{name}"))
-        self.lists = ActiveInactiveLists()
-        self.pages: Dict[int, Page] = {}
-        self.dead = False
-        self.surging = False
         pattern = spec.pattern
         self.zipf: Optional[ZipfianGenerator] = None
         if pattern.kind in ("zipfian", "mixed"):
@@ -150,14 +176,6 @@ class FleetVM:
         self.crash_window, self.surge_window = _chaos_windows(
             seed, name, chaos, ticks
         )
-        # Integer counters only: cross-worker merges must be exact.
-        self.accesses = 0
-        self.hits = 0
-        self.faults = 0
-        self.first_touches = 0
-        self.swap_faults = 0
-        self.deaths = 0
-        self.surge_ticks = 0
 
     # -- pattern draws ------------------------------------------------------
 
@@ -168,24 +186,23 @@ class FleetVM:
         them all up front replays the per-access stream exactly.  The
         Zipfian pattern takes one :meth:`ZipfianGenerator.next_many`
         call; ``mixed`` interleaves a coin flip with each draw, so it
-        draws access by access.
+        draws access by access.  Draws may exceed the footprint; the
+        core's access loop takes them modulo it.
         """
         pattern = self.spec.pattern
         footprint = self.spec.footprint_pages
         kind = pattern.kind
         if self.surging or kind == "uniform":
-            randrange = self.rng.randrange
-            return [randrange(footprint) for _ in range(count)]
+            return self.draw_uniform(count)
         if kind == "zipfian":
-            return [n % footprint for n in self.zipf.next_many(count)]
+            return self.zipf.next_many(count)
         if kind == "mixed":
             coin = self.rng.random
             randrange = self.rng.randrange
             zipf = self.zipf
             fraction = pattern.zipf_fraction
             return [
-                zipf.next() % footprint if coin() < fraction
-                else randrange(footprint)
+                zipf.next() if coin() < fraction else randrange(footprint)
                 for _ in range(count)
             ]
         # sweep: a strided pass over the footprint, the ML-training
@@ -208,14 +225,6 @@ class FleetVM:
                 multiplier *= spike.multiplier
         return multiplier
 
-    # -- lifecycle ----------------------------------------------------------
-
-    def _crash(self) -> None:
-        self.dead = True
-        self.deaths += 1
-        self.lists = ActiveInactiveLists()
-        self.pages.clear()
-
     # -- the tick -----------------------------------------------------------
 
     def run_tick(
@@ -223,72 +232,24 @@ class FleetVM:
         events: List[Tuple[int, str, str]],
     ) -> int:
         """One tick of accesses; returns this VM's fault count."""
-        if _covers(self.crash_window, tick):
-            if not self.dead:
-                self._crash()
-                events.append((tick, "crash", self.name))
-            return 0
+        for transition in self.chaos_step(
+            _covers(self.crash_window, tick),
+            _covers(self.surge_window, tick),
+        ):
+            events.append((tick, transition, self.name))
         if self.dead:
-            self.dead = False
-            events.append((tick, "reboot", self.name))
-        surging = _covers(self.surge_window, tick)
-        if surging and not self.surging:
-            events.append((tick, "surge-start", self.name))
-        elif self.surging and not surging:
-            events.append((tick, "surge-end", self.name))
-        self.surging = surging
-        if surging:
-            self.surge_ticks += 1
+            return 0
         rate = self.spec.accesses_per_tick * self._load_multiplier(tick)
-        if surging:
+        if self.surging:
             rate *= 2.0
         accesses = max(1, int(round(rate)))
         if self._sweep_shuffle_due(tick):
             self._sweep_pos = self.rng.randrange(self.spec.footprint_pages)
-        lists = self.lists
-        active = lists.active
-        inactive = lists.inactive
-        in_active = active.get
-        in_inactive = inactive.get
-        pages = self.pages
-        capacity = self.spec.capacity_pages
-        hits = first_touches = swap_faults = 0
-        faults_this_tick = 0
-        for page_no in self._draw_pages(accesses):
-            vaddr = page_no * PAGE_SIZE
-            page = in_active(vaddr)
-            if page is None:
-                page = in_inactive(vaddr)
-            if page is not None:
-                page.referenced = True  # a load: Page.read()'s bit
-                hits += 1
-                continue
-            page = pages.get(vaddr)
-            if page is None:
-                page = Page(vaddr)
-                pages[vaddr] = page
-                first_touches += 1
-                bucket = _FIRST_TOUCH_BUCKET
-            else:
-                queue = _QUEUE_SLOPE * faults_this_tick
-                if queue > _QUEUE_CAP:
-                    queue = _QUEUE_CAP
-                bucket = bisect_left(
-                    _BUCKET_SEARCH, SWAP_FAULT_US * (1.0 + queue)
-                )
-                swap_faults += 1
-            faults_this_tick += 1
-            if len(active) + len(inactive) >= capacity:
-                lists.evict_to(capacity - 1)
-            lists.insert(page)
-            page.referenced = True
-            histogram[bucket] += 1
-        self.accesses += accesses
-        self.hits += hits
-        self.faults += faults_this_tick
-        self.first_touches += first_touches
-        self.swap_faults += swap_faults
-        return faults_this_tick
+        kinds = self.access(self._draw_pages(accesses))
+        histogram[_FIRST_TOUCH_BUCKET] += kinds.count(FIRST_TOUCH)
+        for indices, bucket in _SWAP_BUCKET_RUNS:
+            histogram[bucket] += kinds[indices].count(SWAP_FAULT)
+        return len(kinds)
 
     def _sweep_shuffle_due(self, tick: int) -> bool:
         pattern = self.spec.pattern
@@ -298,34 +259,6 @@ class FleetVM:
             and tick > 0
             and tick % pattern.shuffle_every_ticks == 0
         )
-
-    # -- self-audit ---------------------------------------------------------
-
-    def audit(self) -> int:
-        """Check this VM's bookkeeping invariants; returns audit count."""
-        if len(self.lists) > self.spec.capacity_pages:
-            raise InvariantViolation(
-                "fleet-residency",
-                f"VM {self.name} holds {len(self.lists)} resident pages "
-                f"over capacity {self.spec.capacity_pages}",
-                details={"vm": self.name, "resident": len(self.lists)},
-            )
-        if self.hits + self.faults != self.accesses:
-            raise InvariantViolation(
-                "fleet-access-accounting",
-                f"VM {self.name}: hits ({self.hits}) + faults "
-                f"({self.faults}) != accesses ({self.accesses})",
-                details={"vm": self.name},
-            )
-        if self.first_touches + self.swap_faults != self.faults:
-            raise InvariantViolation(
-                "fleet-fault-accounting",
-                f"VM {self.name}: first touches ({self.first_touches}) + "
-                f"swap faults ({self.swap_faults}) != faults "
-                f"({self.faults})",
-                details={"vm": self.name},
-            )
-        return 3
 
 
 # ---------------------------------------------------------------------------
@@ -392,19 +325,12 @@ def run_fleet_block(payload: Dict[str, object]) -> Dict[str, object]:
             audits += vm.audit()
     tenants: Dict[str, Dict[str, int]] = {}
     for vm in vms:
-        stats = tenants.setdefault(vm.spec.name, {
-            "vms": 0, "accesses": 0, "hits": 0, "faults": 0,
-            "first_touches": 0, "swap_faults": 0, "deaths": 0,
-            "surge_ticks": 0,
-        })
+        stats = tenants.setdefault(
+            vm.spec.name, dict.fromkeys(("vms",) + _TENANT_COUNTERS, 0)
+        )
         stats["vms"] += 1
-        stats["accesses"] += vm.accesses
-        stats["hits"] += vm.hits
-        stats["faults"] += vm.faults
-        stats["first_touches"] += vm.first_touches
-        stats["swap_faults"] += vm.swap_faults
-        stats["deaths"] += vm.deaths
-        stats["surge_ticks"] += vm.surge_ticks
+        for key in _TENANT_COUNTERS:
+            stats[key] += getattr(vm.stats, key)
     return {
         "per_tick_faults": per_tick_faults,
         "histogram": histogram,

@@ -237,6 +237,7 @@ def test_evict_to_matches_reference_loop(seed, shape, excess):
     want = reference_evict_to(active, inactive, target)
     got = lists.evict_to(target)
     assert_same(lists, active, inactive, got, want)
+    assert lists.shortfall == max(0, len(lists) - target)
 
 
 def test_evict_to_retries_all_referenced_with_deeper_scan():
@@ -260,6 +261,7 @@ def test_evict_to_gives_up_when_even_the_deep_scan_frees_nothing():
     want = reference_evict_to(active, inactive, 199)
     got = lists.evict_to(199)
     assert got == [] and len(lists) == 200
+    assert lists.shortfall == 1
     assert_same(lists, active, inactive, got, want)
 
 
@@ -276,3 +278,4 @@ def test_evict_to_matches_reference_on_random_states(
     want = reference_evict_to(active, inactive, target)
     got = lists.evict_to(target)
     assert_same(lists, active, inactive, got, want)
+    assert lists.shortfall == max(0, len(lists) - target)

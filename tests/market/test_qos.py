@@ -18,12 +18,12 @@ def _manager(obs=None, min_samples=1):
 def test_windowed_p99_is_nearest_rank_and_resets_each_window():
     qos = _manager()
     for latency in range(1, 101):  # 1..100: p99 (nearest rank) = 99
-        qos.record_fault("premium", float(latency))
+        qos.record_faults("premium", [float(latency)])
     p99s = qos.evaluate()
     assert p99s["premium"] == 99.0
     assert qos.violating["premium"]  # 99 > 50
     # The window reset: one fast fault now owns the whole next window.
-    qos.record_fault("premium", 10.0)
+    qos.record_faults("premium", [10.0])
     assert qos.evaluate()["premium"] == 10.0
     assert not qos.violating["premium"]
     assert qos.violation_counts["premium"] == 1
@@ -42,11 +42,11 @@ def test_no_faults_is_not_a_violation():
 def test_min_samples_suppresses_straggler_verdicts():
     qos = _manager(min_samples=5)
     for _ in range(4):
-        qos.record_fault("premium", 400.0)  # 4 slow faults: no verdict
+        qos.record_faults("premium", [400.0])  # 4 slow faults: no verdict
     assert qos.evaluate() == {}
     assert not qos.violating["premium"]
     for _ in range(5):
-        qos.record_fault("premium", 400.0)  # 5: now it counts
+        qos.record_faults("premium", [400.0])  # 5: now it counts
     assert qos.evaluate() == {"premium": 400.0}
     assert qos.violating["premium"]
 
@@ -55,7 +55,7 @@ def test_protected_violation_throttles_spot_with_escalation_and_decay():
     qos = _manager()
     assert qos.throttle_delay_us("spot") == 0.0
     # Premium (protected) violates -> spot pays the base throttle.
-    qos.record_fault("premium", 500.0)
+    qos.record_faults("premium", [500.0])
     qos.evaluate()
     first = qos.throttle_delay_us("spot")
     assert first == QosManager.BASE_THROTTLE_US
@@ -63,15 +63,15 @@ def test_protected_violation_throttles_spot_with_escalation_and_decay():
     assert qos.throttle_delay_us("premium") == 0.0
     assert qos.throttle_delay_us("standard") == 0.0
     # Still violating -> the throttle doubles, up to the ceiling.
-    qos.record_fault("premium", 500.0)
+    qos.record_faults("premium", [500.0])
     qos.evaluate()
     assert qos.throttle_delay_us("spot") == 2 * first
     for _ in range(8):
-        qos.record_fault("premium", 500.0)
+        qos.record_faults("premium", [500.0])
         qos.evaluate()
     assert qos.throttle_delay_us("spot") == QosManager.MAX_THROTTLE_US
     # Violation clears -> the throttle halves, then releases.
-    qos.record_fault("premium", 1.0)
+    qos.record_faults("premium", [1.0])
     qos.evaluate()
     assert qos.throttle_delay_us("spot") == QosManager.MAX_THROTTLE_US / 2
     while qos.throttle_delay_us("spot") > 0.0:
@@ -81,7 +81,7 @@ def test_protected_violation_throttles_spot_with_escalation_and_decay():
 
 def test_spot_violations_do_not_throttle_anyone():
     qos = _manager()
-    qos.record_fault("spot", 5_000.0)  # spot violates its own SLO
+    qos.record_faults("spot", [5_000.0])  # spot violates its own SLO
     qos.evaluate()
     assert qos.violating["spot"]
     assert qos.throttle_delay_us("spot") == 0.0
@@ -90,8 +90,8 @@ def test_spot_violations_do_not_throttle_anyone():
 def test_metrics_are_tenant_keyed():
     obs = Observability(enabled=True)
     qos = _manager(obs=obs)
-    qos.record_fault("premium", 500.0)
-    qos.record_fault("spot", 500.0)
+    qos.record_faults("premium", [500.0])
+    qos.record_faults("spot", [500.0])
     qos.evaluate()
     snapshot = obs.registry.snapshot()
     assert "tenant_fault_latency_us{tenant=premium}" \
@@ -124,5 +124,5 @@ def test_registration_is_guarded():
     with pytest.raises(MarketError):
         QosManager(min_samples=0)
     qos.deregister("premium")
-    qos.record_fault("premium", 1.0)  # silently ignored once gone
+    qos.record_faults("premium", [1.0])  # silently ignored once gone
     assert qos.evaluate() == {}

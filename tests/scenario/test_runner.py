@@ -1,8 +1,13 @@
 """Scenario compilation and the fleet engine's mechanics."""
 
+import random
+from bisect import bisect_left
+
 import pytest
 
 from repro.errors import InvariantViolation, ScenarioError
+from repro.market import MarketVM, QosManager, TenantSlo, TenantSpec
+from repro.mem import PAGE_SIZE, Page
 from repro.scenario import SCENARIO_SCHEMA, run_scenario, validate_document
 from repro.scenario.schema import (
     FleetChaosSpec,
@@ -13,6 +18,7 @@ from repro.scenario.schema import (
     SpikeSpec,
 )
 from repro.scenario.workloads import (
+    _SWAP_BUCKET_RUNS,
     LATENCY_BUCKETS_US,
     FleetVM,
     fleet_payloads,
@@ -21,6 +27,8 @@ from repro.scenario.workloads import (
     merge_block_results,
     run_fleet_block,
 )
+from repro.sim import Environment
+from repro.workloads.fleet import FIRST_TOUCH, SWAP_FAULT, FleetVMCore
 
 
 def _fleet_doc(**overrides):
@@ -112,8 +120,34 @@ class TestFleetEngine:
         vm = FleetVM("t-000", tenant, seed=1, ticks=4,
                      chaos=FleetChaosSpec())
         vm.run_tick(0, [0] * len(LATENCY_BUCKETS_US), [])
-        vm.hits += 1  # corrupt the ledger
+        vm.stats.hits += 1  # corrupt the ledger
         with pytest.raises(InvariantViolation, match="access-accounting"):
+            vm.audit()
+        # The market layer runs the same core and the same audit.
+        market_tenant = TenantSpec(
+            name="m", vms=1, role="consumer", footprint_pages=64,
+            capacity_pages=32, slo=TenantSlo(100.0),
+        )
+        qos = QosManager()
+        qos.register("m", market_tenant.slo)
+        market_vm = MarketVM(Environment(), "m-000", market_tenant,
+                             random.Random(1))
+        market_vm.run_tick(qos, 0.0)
+        assert market_vm.audit() == 3
+        market_vm.stats.remote_hits += 1  # a fault counted twice
+        with pytest.raises(InvariantViolation, match="fault-accounting"):
+            market_vm.audit()
+
+    def test_audit_allows_only_a_reclaim_shortfall_over_capacity(self):
+        vm = FleetVMCore("t-000", footprint_pages=64, capacity_pages=32,
+                         rng=random.Random(1))
+        vm.access(list(range(32)))  # every resident page referenced
+        vm.access([32])  # so this fault's reclaim gives up
+        assert len(vm.lists) == 33
+        assert vm.lists.shortfall == 1
+        assert vm.audit() == 3
+        vm.lists.insert(Page(40 * PAGE_SIZE))  # a page with no reclaim
+        with pytest.raises(InvariantViolation, match="fleet-residency"):
             vm.audit()
 
     def test_diurnal_load_and_spikes_shape_the_rate(self):
@@ -163,7 +197,7 @@ class TestFleetEngine:
             vm.run_tick(tick, histogram, events)
         kinds = [kind for _, kind, _ in events]
         assert "crash" in kinds
-        assert vm.deaths == 1
+        assert vm.stats.deaths == 1
         if vm.crash_window[1] < 16:
             assert "reboot" in kinds
 
@@ -181,6 +215,21 @@ class TestFleetEngine:
             (first.crash_window, first.surge_window)
             != (other.crash_window, other.surge_window)
         )
+
+    def test_swap_bucket_runs_match_the_per_fault_queueing_delay(self):
+        """Each swap fault queues 2% per earlier fault in its tick,
+        capped at 4x; the runs must bucket every index the same way."""
+        rng = random.Random(5)
+        kinds = [rng.choice((FIRST_TOUCH, SWAP_FAULT)) for _ in range(400)]
+        want = [0] * len(LATENCY_BUCKETS_US)
+        for index, kind in enumerate(kinds):
+            if kind == SWAP_FAULT:
+                latency = 150.0 * (1.0 + min(0.02 * index, 3.0))
+                want[bisect_left(LATENCY_BUCKETS_US[:-1], latency)] += 1
+        got = [0] * len(LATENCY_BUCKETS_US)
+        for indices, bucket in _SWAP_BUCKET_RUNS:
+            got[bucket] += kinds[indices].count(SWAP_FAULT)
+        assert got == want
 
     def test_histogram_percentile_reads_bucket_edges(self):
         counts = [0] * len(LATENCY_BUCKETS_US)
